@@ -18,6 +18,11 @@
    - "soda-soak": the default soak workload (SODA at n=25, f=12 with
      concurrent clients and staggered crashes) — events/sec and ops/sec
      as an experiment actually sees them.
+   - "soda-closed-loop-8k" / "-32k": one register (n=6, f=2) under a
+     closed loop of 4 writers and 4 readers, run to 8k and to 32k ops.
+     Per-op work must not grow with the register's history, so the two
+     rows must report the same ops/sec; bench_diff flags the long one
+     if it falls behind the suite.
    - "checker": Atomicity.check_tagged on a synthetic m-operation
      history — wall milliseconds for the full Lemma 2.1 check.
 
@@ -168,6 +173,32 @@ let soak_point () =
   }
 
 (* ------------------------------------------------------------------ *)
+(* soda-closed-loop: one long-history register *)
+
+let closed_loop_point ~ops =
+  let params = Protocol.Params.make ~n:6 ~f:2 () in
+  let messages = ref 0 in
+  let seconds, ops_done =
+    measure ~min_elapsed:0.0 (fun () ->
+        let r =
+          Harness.Closed_loop.run_soda ~params ~num_writers:4 ~num_readers:4
+            ~ops_per_client:(ops / 8) ()
+        in
+        messages := r.Harness.Closed_loop.messages;
+        Protocol.History.size r.Harness.Closed_loop.history)
+  in
+  { probe = Printf.sprintf "soda-closed-loop-%dk" (ops / 1000);
+    size = !messages;
+    seconds;
+    events_per_s = float_of_int !messages /. seconds;
+    ops_per_s = float_of_int ops_done /. seconds;
+    sent = !messages;
+    dropped = 0;
+    lost = 0;
+    retransmissions = 0
+  }
+
+(* ------------------------------------------------------------------ *)
 (* checker: Atomicity.check_tagged on a large synthetic history *)
 
 let synthetic_history m =
@@ -257,5 +288,7 @@ let run () =
       mesh_point ~transport:(`Reliable Simnet.Channel.default)
         ~probe:"mesh-reliable" ();
       soak_point ();
+      closed_loop_point ~ops:(if !smoke then 1_000 else 8_000);
+      closed_loop_point ~ops:(if !smoke then 4_000 else 32_000);
       checker_point ()
     ]

@@ -7,18 +7,21 @@
    over flat int arrays — a multiply-and-mask plus a couple of cache
    lines per operation, and no allocation once grown.
 
-   No removal of individual keys (that would need tombstones); callers
-   that delete do so wholesale with [reset]. Capacities are powers of
-   two, load factor <= 1/2. The empty slot is keyed by -1, so keys must
-   be >= 0 — which packed tags, mids and coordinates are. *)
+   [Set.remove] deletes by backward shift, so no tombstones are left
+   behind; [Map] deletes only wholesale, with [reset]. Capacities are
+   powers of two, load factor <= 1/2. The empty slot is keyed by -1, so
+   keys must be >= 0 — which packed tags, mids and coordinates are. *)
 
 [@@@lint.allow
   "U1: the probe loops index keys/vals with h land t.mask and both \
    arrays have length t.mask + 1 — the masked index cannot escape"]
 
-(* Fibonacci hashing: spreads consecutive keys (mids and packed tags
-   are near-consecutive) across the table. *)
-let[@inline] slot_of key mask = (key * 0x1fd3eca2d2b1ba6d) lsr 1 land mask
+(* Fibonacci hashing: multiply by an odd 61-bit constant and keep the
+   product's HIGH bits, which depend on every bit of the key.
+   The low bits of a product depend only on the key's low bits, and a
+   mid is [(seq lsl 20) lor origin]: masking the low bits would pick the
+   slot by origin alone and chain a whole history into a few slots. *)
+let[@inline] slot_of key mask = ((key * 0x1fd3eca2d2b1ba6d) lsr 32) land mask
 
 module Set = struct
   type t = { mutable keys : int array; mutable size : int; mutable mask : int }
@@ -62,6 +65,34 @@ module Set = struct
       t.keys.(lnot i) <- key;
       t.size <- t.size + 1;
       if 2 * t.size > Array.length t.keys then grow t;
+      true
+    end
+
+  (* Backward-shift deletion: after emptying slot [hole], walk the rest
+     of the run and move back every key whose home slot does not lie
+     cyclically in (hole, j] — exactly the keys the hole would otherwise
+     cut off from their home. *)
+  let remove t key =
+    let i = probe t.keys t.mask (slot_of key t.mask) key in
+    if i < 0 then false
+    else begin
+      let keys = t.keys and mask = t.mask in
+      let hole = ref i and j = ref ((i + 1) land mask) in
+      while Array.unsafe_get keys !j <> -1 do
+        let k = Array.unsafe_get keys !j in
+        let home = slot_of k mask in
+        let reachable =
+          if !hole <= !j then home > !hole && home <= !j
+          else home > !hole || home <= !j
+        in
+        if not reachable then begin
+          Array.unsafe_set keys !hole k;
+          hole := !j
+        end;
+        j := (!j + 1) land mask
+      done;
+      Array.unsafe_set keys !hole (-1);
+      t.size <- t.size - 1;
       true
     end
 

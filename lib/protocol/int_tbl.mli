@@ -3,8 +3,14 @@
     Built for the simulator's hot paths (MD deduplication, the servers'
     H sets): linear probing over flat arrays — no per-insert allocation,
     no generic-hashing C call. Keys must be [>= 0] (packed tags, mids
-    and coordinates are); individual removal is not supported — delete
-    wholesale with [reset]. *)
+    and coordinates are). Keys hash by the high bits of a Fibonacci
+    product, so keys that differ only in their high bits (packed mids
+    and tags) still spread over the whole table. {!Set.remove} deletes
+    one key; {!Map} deletes only wholesale, with [reset]. *)
+
+val slot_of : int -> int -> int
+(** [slot_of key mask] is [key]'s home slot in a table of [mask + 1]
+    slots, [mask + 1] a power of two. *)
 
 module Set : sig
   type t
@@ -18,6 +24,10 @@ module Set : sig
       @raise Invalid_argument on a negative key. *)
 
   val mem : t -> int -> bool
+
+  val remove : t -> int -> bool
+  (** Delete; [true] iff the key was present. Leaves no tombstone. *)
+
   val length : t -> int
 
   val reset : t -> unit

@@ -70,11 +70,12 @@ type t = {
          read — stored as rid -> Tag.pack tag -> coordinate set, so the
          unregistration test (how many distinct coordinates dispersed
          this tag?) is a table length instead of a fold over the set. *)
-  md_delivered : Int_tbl.Set.t;
+  md_delivered : Protocol.Dedup.t; (* MD mids delivered, per origin *)
   completed : Int_tbl.Set.t;
-      (* rids whose READ-COMPLETE was delivered locally. (H's tombstone
-         rows can't serve here: a relay of the initial value writes the
-         same (rid, t0, self) triple.) Used to prune dead gossip. *)
+      (* rids whose READ-COMPLETE was delivered locally: the one record a
+         finished read leaves (its H row is dropped). Keeps late
+         READ-VALUE retries from re-registering it, and prunes dead
+         gossip. *)
   seq : int ref;
   outbox : Messages.gossip_entry list array;
       (* Coalesced plane: pending READ-DISPERSE entries per destination
@@ -102,7 +103,7 @@ let create config ~coordinate =
     disk = Disk.create ~tag:Tag.initial ~fragment;
     registered = Hashtbl.create 8;
     h = Hashtbl.create 8;
-    md_delivered = Int_tbl.Set.create 64;
+    md_delivered = Protocol.Dedup.create ();
     completed = Int_tbl.Set.create 16;
     seq = ref 0;
     outbox = Array.make n [];
@@ -150,11 +151,19 @@ let[@lint.allow
     (fun (a, _) (b, _) -> Int.compare a b)
     (Hashtbl.fold (fun rid reg acc -> (rid, reg) :: acc) t.registered [])
 
+let md_dedup t = t.md_delivered
+
+(* Pads the value slots of every H row. *)
+let[@lint.allow
+     "R1: never mutated — a map's dummy is never returned for a present \
+      key, and [h_add] gives each new tag a fresh set"] no_coords =
+  Int_tbl.Set.create 0
+
 let h_tags t rid =
   match Hashtbl.find_opt t.h rid with
   | Some tags -> tags
   | None ->
-    let tags = Int_tbl.Map.create ~dummy:(Int_tbl.Set.create 1) 8 in
+    let tags = Int_tbl.Map.create ~dummy:no_coords 8 in
     Hashtbl.add t.h rid tags;
     tags
 
@@ -753,7 +762,7 @@ let begin_repair t ctx ~op =
     ~bytes:(Fragment.size fragment);
   Hashtbl.reset t.registered;
   Hashtbl.reset t.h;
-  Int_tbl.Set.reset t.md_delivered;
+  Protocol.Dedup.reset t.md_delivered;
   Int_tbl.Set.reset t.completed;
   Array.fill t.outbox 0 (Array.length t.outbox) [];
   Array.fill t.outbox_armed 0 (Array.length t.outbox_armed) false;
@@ -835,11 +844,16 @@ let md_value_deliver t ctx ~op ~tag:tw ~fragment =
 
 (* Fig. 5, "On md-meta-deliver(READ-VALUE, (r, tr))". *)
 let on_read_value t ctx ~rid ~reader ~tr =
-  (* The tombstone left by a READ-COMPLETE that raced ahead is kept (not
+  (* The completion left by a READ-COMPLETE that raced ahead is kept (not
      consumed): clients over the reliable transport re-broadcast
-     READ-VALUE until the read returns, and a spent tombstone would let
-     a late retry re-register a finished read as a ghost. *)
-  let already_complete = h_mem t rid ~tag:Tag.initial ~coordinate:t.coordinate in
+     READ-VALUE until the read returns, and a spent record would let a
+     late retry re-register a finished read as a ghost. A relay of the
+     initial value, which H records as (rid, t0, self), blocks
+     re-registration too. *)
+  let already_complete =
+    Int_tbl.Set.mem t.completed rid
+    || h_mem t rid ~tag:Tag.initial ~coordinate:t.coordinate
+  in
   if not already_complete then begin
     let reg = { reader; tr } in
     Hashtbl.replace t.registered rid reg;
@@ -862,21 +876,25 @@ let on_read_value t ctx ~rid ~reader ~tr =
 
 (* Fig. 5, "On md-meta-deliver(READ-COMPLETE, (r, tr))". *)
 let on_read_complete t ctx ~rid =
-  if Hashtbl.mem t.registered rid then unregister t ctx rid;
-  (* leave a tombstone either way — whether completion raced ahead of
-     the registration or a READ-VALUE retry is still in flight, a copy
+  if Hashtbl.mem t.registered rid then unregister t ctx rid
+  else Hashtbl.remove t.h rid;
+  (* record the completion either way — whether it raced ahead of the
+     registration or a READ-VALUE retry is still in flight, a copy
      arriving after this point must not (re-)register the read *)
-  h_add t rid ~tag:Tag.initial ~coordinate:t.coordinate;
   ignore (Int_tbl.Set.add t.completed rid : bool)
 
 (* Fig. 5, "On md-meta-deliver(READ-DISPERSE, (t, s', r))"; the
    unregistration threshold is k for SODA and k + 2e for SODAerr
    (Fig. 6). *)
 let on_read_disperse t ctx ~tag ~server_index ~rid =
-  h_add t rid ~tag ~coordinate:server_index;
-  if Hashtbl.mem t.registered rid then
-    if h_count_tag t rid tag >= t.config.Config.decode_threshold then
-      unregister t ctx rid
+  (* a completed read is never registered again, so its H row could
+     never be consulted *)
+  if not (Int_tbl.Set.mem t.completed rid) then begin
+    h_add t rid ~tag ~coordinate:server_index;
+    if Hashtbl.mem t.registered rid then
+      if h_count_tag t rid tag >= t.config.Config.decode_threshold then
+        unregister t ctx rid
+  end
 
 let deliver_meta t ctx = function
   | Messages.Read_value { rid; reader; tr } -> on_read_value t ctx ~rid ~reader ~tr
@@ -885,12 +903,17 @@ let deliver_meta t ctx = function
   | Messages.Read_disperse { tag; server_index; rid } ->
     on_read_disperse t ctx ~tag ~server_index ~rid
 
+(* [true] the first time [mid] arrives here: MD delivers it once. *)
+let md_fresh t mid =
+  Protocol.Dedup.add t.md_delivered ~origin:(Messages.mid_origin mid)
+    ~seq:(Messages.mid_seq mid)
+
 (* Server side of MD-VALUE: a member of D forwards the full value down
    the chain and coded elements to everyone outside D, then delivers its
    own element; the ordering (relays before local delivery) is what makes
    the primitive uniform under crashes. *)
 let on_md_full t ctx ~msg ~(mid : Messages.mid) ~op ~tag ~value =
-  if Int_tbl.Set.add t.md_delivered (mid :> int) then begin
+  if md_fresh t mid then begin
     let config = t.config in
     let d = Config.d_size config in
     let fragments = Config.encode config value in
@@ -911,7 +934,7 @@ let on_md_full t ctx ~msg ~(mid : Messages.mid) ~op ~tag ~value =
   end
 
 let on_md_coded t ctx ~(mid : Messages.mid) ~op ~tag ~fragment =
-  if Int_tbl.Set.add t.md_delivered (mid :> int) then begin
+  if md_fresh t mid then begin
     md_value_deliver t ctx ~op ~tag ~fragment
   end
 
@@ -927,7 +950,7 @@ let on_md_coded t ctx ~(mid : Messages.mid) ~op ~tag ~fragment =
    O(f*n) to O(n) whenever the lowest live member of D gets its copy. *)
 let on_md_meta t ctx ~src ~msg ~(mid : Messages.mid) ~meta =
   let config = t.config in
-  if Int_tbl.Set.add t.md_delivered (mid :> int) then begin
+  if md_fresh t mid then begin
     let d = Config.d_size config in
     if t.coordinate < d then begin
       let forward () =

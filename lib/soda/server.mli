@@ -47,7 +47,12 @@ val registered_reads : t -> int list
 (** Currently registered read-operation ids. *)
 
 val history_entries : t -> int
-(** Total number of tuples in [H]. *)
+(** Total number of tuples in [H]. A read's tuples are dropped when its
+    READ-COMPLETE arrives, so a quiescent server holds none. *)
+
+val md_dedup : t -> Protocol.Dedup.t
+(** The MD delivery filter (read-only use): its size stays flat over a
+    run in which every dispersal is delivered. *)
 
 (** {1 Self-healing plane (see {!Config.healing})} *)
 

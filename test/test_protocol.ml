@@ -415,6 +415,150 @@ let checker_tests =
         = Result.is_ok (Atomicity.check_tagged_quadratic records))
   ]
 
+(* ------------------------------------------------------------------ *)
+(* Int_tbl hashing and removal *)
+
+module Int_tbl = Protocol.Int_tbl
+
+(* 40,000 mids from 8 origins (packed as the MD layer packs them) and a
+   run of 2,000 packed tags. *)
+let hash_keys =
+  List.concat
+    [ List.init 40_000 (fun i ->
+          (Soda.Messages.mid ~origin:(i mod 8) ~seq:(i / 8) :> int));
+      List.init 2_000 (fun i -> Tag.pack (Tag.make ~z:(i + 1) ~w:(i mod 4)))
+    ]
+
+let int_tbl_tests =
+  [ Alcotest.test_case "packed mids and tags spread over the slots" `Quick
+      (fun () ->
+        let mask = 1023 in
+        let used = Hashtbl.create 1024 in
+        List.iter
+          (fun k -> Hashtbl.replace used (Int_tbl.slot_of k mask) ())
+          hash_keys;
+        Alcotest.(check bool)
+          (Printf.sprintf "%d of 1024 slots used, want >= 900"
+             (Hashtbl.length used))
+          true
+          (Hashtbl.length used >= 900);
+        (* linear probing at the tables' own load (<= 1/2): the
+           longest run from a key's home slot to where it lands *)
+        let cap = ref 16 in
+        while !cap < 2 * List.length hash_keys do
+          cap := 2 * !cap
+        done;
+        let mask = !cap - 1 in
+        let slots = Array.make !cap false in
+        let longest = ref 0 in
+        List.iter
+          (fun k ->
+            let i = ref (Int_tbl.slot_of k mask) and probe = ref 0 in
+            while slots.(!i) do
+              i := (!i + 1) land mask;
+              incr probe
+            done;
+            slots.(!i) <- true;
+            longest := max !longest !probe)
+          hash_keys;
+        Alcotest.(check bool)
+          (Printf.sprintf "longest probe %d, want <= 32" !longest)
+          true (!longest <= 32));
+    qtest "Set add/remove/mem agree with Hashtbl"
+      QCheck2.Gen.(
+        list_size (int_range 0 400)
+          (pair (int_range 0 2) (int_range 0 200)))
+      (fun ops ->
+        let s = Int_tbl.Set.create 4 and oracle = Hashtbl.create 16 in
+        List.for_all
+          (fun (op, key) ->
+            (* spread the small keys over the high bits too *)
+            let key = key lor ((key land 7) lsl 40) in
+            match op with
+            | 0 ->
+              let fresh = not (Hashtbl.mem oracle key) in
+              Hashtbl.replace oracle key ();
+              Bool.equal (Int_tbl.Set.add s key) fresh
+            | 1 ->
+              let present = Hashtbl.mem oracle key in
+              Hashtbl.remove oracle key;
+              Bool.equal (Int_tbl.Set.remove s key) present
+            | _ ->
+              Bool.equal (Int_tbl.Set.mem s key) (Hashtbl.mem oracle key)
+              && Int_tbl.Set.length s = Hashtbl.length oracle)
+          ops)
+  ]
+
+(* ------------------------------------------------------------------ *)
+(* Dedup: the per-origin MD delivery window *)
+
+module Dedup = Protocol.Dedup
+
+type dedup_op = Add of int * int | Reset
+
+(* A delivery stream over [origins] origins, each numbering [per_origin]
+   dispersals from 0: some seqs are never delivered, some twice, each
+   copy is displaced by up to [spread] positions (so gaps reach past the
+   62-wide window), and one reset falls mid-stream. *)
+let dedup_stream (seed, origins, per_origin, spread) =
+  let st = Random.State.make [| seed |] in
+  let copies =
+    List.concat_map
+      (fun origin ->
+        List.concat_map
+          (fun seq ->
+            match Random.State.int st 20 with
+            | 0 -> [] (* never delivered *)
+            | 1 | 2 -> [ (origin, seq); (origin, seq) ]
+            | _ -> [ (origin, seq) ])
+          (List.init per_origin Fun.id))
+      (List.init origins Fun.id)
+  in
+  let keyed =
+    List.mapi
+      (fun i (origin, seq) ->
+        let pos = (seq * origins) + origin + Random.State.int st (spread + 1) in
+        ((pos, i), Add (origin, seq)))
+      copies
+  in
+  let ops = List.map snd (List.sort compare keyed) in
+  let reset_at = Random.State.int st (List.length ops + 1) in
+  List.concat (List.mapi (fun i op -> if i = reset_at then [ Reset; op ] else [ op ]) ops)
+
+let dedup_gen =
+  QCheck2.Gen.(
+    quad (int_range 0 1_000_000) (int_range 1 5) (int_range 0 300)
+      (oneofl [ 0; 8; 62; 200; 1_000 ]))
+
+let dedup_tests =
+  [ qtest ~count:200 "add agrees with a set of every pair seen" dedup_gen
+      (fun params ->
+        let d = Dedup.create () and oracle = Hashtbl.create 64 in
+        List.for_all
+          (function
+            | Reset ->
+              Dedup.reset d;
+              Hashtbl.reset oracle;
+              true
+            | Add (origin, seq) ->
+              let fresh = not (Hashtbl.mem oracle (origin, seq)) in
+              Hashtbl.replace oracle (origin, seq) ();
+              Bool.equal (Dedup.add d ~origin ~seq) fresh)
+          (dedup_stream params));
+    qtest ~count:100 "complete delivery reordered within 62 leaves no overflow"
+      QCheck2.Gen.(triple (int_range 0 1_000_000) (int_range 1 5) (int_range 0 400))
+      (fun (seed, origins, per_origin) ->
+        let st = Random.State.make [| seed |] in
+        let d = Dedup.create () in
+        let ops =
+          List.init (origins * per_origin) (fun i ->
+              ((i + Random.State.int st 62, i), (i mod origins, i / origins)))
+          |> List.sort compare |> List.map snd
+        in
+        List.iter (fun (origin, seq) -> ignore (Dedup.add d ~origin ~seq : bool)) ops;
+        Dedup.overflow d = 0)
+  ]
+
 let () =
   Alcotest.run "protocol"
     [ ("tag", tag_tests);
@@ -422,5 +566,7 @@ let () =
       ("history", history_tests);
       ("cost", cost_tests);
       ("probe", probe_tests);
-      ("atomicity", checker_tests)
+      ("atomicity", checker_tests);
+      ("int_tbl", int_tbl_tests);
+      ("dedup", dedup_tests)
     ]

@@ -518,6 +518,68 @@ let hygiene_tests =
               (Soda.Server.registered_reads
                  (Soda.Deployment.server d ~coordinate:c)))
           (List.init (Params.n params) Fun.id));
+    Alcotest.test_case
+      "a longer closed loop leaves servers no larger: empty H, flat MD dedup"
+      `Quick (fun () ->
+        (* quiescent closed loop, n = 6, f = 2, 4 writers + 4 readers;
+           returns each server's MD-dedup size in words *)
+        let run ops_per_client =
+          let params = Params.make ~n:6 ~f:2 () in
+          let engine =
+            Engine.create ~seed:5 ~delay:(Delay.uniform ~lo:0.2 ~hi:2.0) ()
+          in
+          let d =
+            Soda.Deployment.deploy ~engine ~params
+              ~initial_value:(Bytes.make 64 'i') ~num_writers:4 ~num_readers:4
+              ()
+          in
+          let next = ref 0 in
+          let rec writer w left () =
+            if left > 0 then begin
+              incr next;
+              Soda.Deployment.write d ~writer:w
+                ~at:(Engine.now engine +. 1.0)
+                ~on_done:(writer w (left - 1))
+                (Workload.value ~len:64 ~seed:5 ~index:!next)
+            end
+          in
+          let rec reader r left () =
+            if left > 0 then
+              Soda.Deployment.read d ~reader:r
+                ~at:(Engine.now engine +. 1.0)
+                ~on_done:(fun _ -> reader r (left - 1) ())
+                ()
+          in
+          for c = 0 to 3 do
+            writer c ops_per_client ();
+            reader c ops_per_client ()
+          done;
+          Engine.run engine;
+          let history = Soda.Deployment.history d in
+          Alcotest.(check int)
+            (Printf.sprintf "%d ops completed" (8 * ops_per_client))
+            (8 * ops_per_client)
+            (List.length
+               (List.filter
+                  (fun r -> Option.is_some r.History.responded_at)
+                  (History.records history)));
+          List.init (Params.n params) (fun c ->
+              let server = Soda.Deployment.server d ~coordinate:c in
+              let dedup = Soda.Server.md_dedup server in
+              Alcotest.(check int)
+                (Printf.sprintf "server %d: H empty at %d ops/client" c
+                   ops_per_client)
+                0
+                (Soda.Server.history_entries server);
+              Alcotest.(check int)
+                (Printf.sprintf "server %d: dedup overflow empty at %d ops/client"
+                   c ops_per_client)
+                0 (Protocol.Dedup.overflow dedup);
+              Obj.reachable_words (Obj.repr dedup))
+        in
+        let short = run 250 in
+        Alcotest.(check (list int)) "dedup words per server, 250 vs 1000 ops/client"
+          short (run 1000));
     Alcotest.test_case "servers converge to the latest tag" `Quick (fun () ->
         let params = Params.make ~n:6 ~f:2 () in
         let engine =
