@@ -62,7 +62,7 @@ let measure ~codec ~op ~size ~domains f =
   let s = time_per_call ~min_elapsed ~min_iters:3 f in
   { codec; op; size; domains; mbps = mb_per_s ~bytes:size s; ns = s *. 1e9 }
 
-let codec_points ~domains code size =
+let codec_points ~domains ?(corrects = false) code size =
   let value = value_of_size size in
   let name = Erasure.Mds.name code in
   let k = Erasure.Mds.k code in
@@ -82,6 +82,23 @@ let codec_points ~domains code size =
     measure ~codec:name ~op:"decode" ~size ~domains (fun () ->
         Erasure.Mds.decode ~domains code survivors)
   in
+  (* the SODAerr read path: n-2 survivors, as in bulk-err's k+2e decode
+     sets, with fragment 0 wholly corrupt (an error-prone disk). The two
+     dropped fragments are systematic, so the corrupt one lands in the
+     first solve's basis and every stripe takes the retry. *)
+  let decode_err =
+    if not corrects then []
+    else
+      let n = Erasure.Mds.n code in
+      let dirty =
+        List.filteri (fun i _ -> i < n - 2) (Array.to_list fragments)
+        |> List.map (fun f ->
+               if Erasure.Fragment.index f = 0 then Erasure.Fragment.corrupt f ~seed:7
+               else f)
+      in
+      [ measure ~codec:name ~op:"decode_err" ~size ~domains (fun () ->
+            Erasure.Mds.decode ~domains code dirty) ]
+  in
   (* incremental parity maintenance: a 4 KiB patch in the middle of the
      value; MB/s counts the patch bytes, the work the update does *)
   let patch_len = min 4096 (max 1 (size / 4)) in
@@ -91,7 +108,7 @@ let codec_points ~domains code size =
     measure ~codec:name ~op:"update" ~size:patch_len ~domains (fun () ->
         Erasure.Mds.update ~domains code ~fragments ~value ~pos patch)
   in
-  [ encode; decode; update ]
+  (encode :: decode :: decode_err) @ [ update ]
 
 let kernel_points size =
   let src = value_of_size size in
@@ -146,18 +163,21 @@ let run () =
      (tools/bench_diff matches points by codec/op/size/domains) *)
   let sizes = if !smoke then [ 16384 ] else [ 16384; 65536; 1048576 ] in
   let n = 12 and k = 8 in
+  (* (codec, corrects errors): only rs-bch gets the decode_err row *)
   let codecs =
-    [ Erasure.Mds.rs_vandermonde ~n ~k;
-      Erasure.Mds.rs_systematic ~n ~k;
-      Erasure.Mds.rs_bch ~n ~k;
-      Erasure.Mds.rs16 ~n ~k
+    [ (Erasure.Mds.rs_vandermonde ~n ~k, false);
+      (Erasure.Mds.rs_systematic ~n ~k, false);
+      (Erasure.Mds.rs_bch ~n ~k, true);
+      (Erasure.Mds.rs16 ~n ~k, false)
     ]
   in
   let points =
     List.concat_map
       (fun size ->
         kernel_points size
-        @ List.concat_map (fun c -> codec_points ~domains:1 c size) codecs)
+        @ List.concat_map
+            (fun (c, corrects) -> codec_points ~domains:1 ~corrects c size)
+            codecs)
       sizes
   in
   (* Domain-parallel point: the largest size, vandermonde, sharded. *)

@@ -19,7 +19,6 @@ type table16 = Gf16.mul_tables
 let mul_table = Gf.mul_table
 let mul_buf = Gf.mul_buf
 let muladd_buf = Gf.muladd_buf
-let row_tables coeffs = Array.map Gf.mul_table coeffs
 let row_tables16 coeffs = Array.map Gf16.mul_tables coeffs
 
 type wtable = Gf.wtable
@@ -187,137 +186,69 @@ let merge_cols_sub ~k ~bps ~bufs ~offs ~col_len ~lo ~len ~dst ~doff =
   done
 
 (* ------------------------------------------------------------------ *)
-(* Row application: dst[off, off+len) = sum_j coeffs.(j) * srcs.(j).
+(* Row application:
+   dst[doff+off ..] = sum_j coeffs.(j) * srcs.(j)[soffs.(j)+off ..].
 
-   One word-sliced sweep per non-zero coefficient: the chunk-table
-   kernels move 8 bytes per load (see Wops), which beats the old fused
-   byte-table loops by ~3x even though each additional term re-reads
-   dst — the sweep is memory-shaped, not table-lookup-shaped. Unit
-   coefficients degrade to a blit (first term) or an 8-byte-wide xor.
-   Bounds are validated by the Gf sweeps themselves. *)
+   One sweep per non-zero coefficient, through the field's [mul]/[muladd]
+   for the table flavour at hand: a leading unit coefficient is a blit, a
+   later one an 8-byte-wide xor, and an all-zero row zero-fills (dst
+   buffers come from Bytes.create, whose contents are unspecified). The
+   word-sliced chunk-table sweeps move 8 bytes per load and win on long
+   sweeps with few coefficients; the 256-entry tables stay in L1 and win
+   once many coefficients share the cache with a large heap. Offsets and
+   [len] are bytes; the field sweeps validate their own ranges. *)
 
-let apply_row_v ~coeffs ~wtables ~srcs ~soffs ~dst ~doff ~off ~len =
-  let terms = Array.length coeffs in
-  if
-    Array.length srcs <> terms
-    || Array.length wtables <> terms
-    || Array.length soffs <> terms
-  then invalid_arg "Kernel.apply_row_v: coefficient/source count mismatch";
-  let first = ref true in
-  for j = 0 to terms - 1 do
-    let c = coeffs.(j) in
-    if c <> Gf.zero then begin
-      let src = srcs.(j) and soff = soffs.(j) + off in
-      let doff = doff + off in
-      if soff + len > Bytes.length src || doff + len > Bytes.length dst then
-        invalid_arg "Kernel.apply_row_v: range outside buffers";
-      (if !first then
-         if c = Gf.one then Bytes.blit src soff dst doff len
-         else Gf.mul_buf_w wtables.(j) ~src ~soff ~dst ~doff ~len
-       else if c = Gf.one then Galois.Wops.xor_into ~src ~soff ~dst ~doff ~len
-       else Gf.muladd_buf_w wtables.(j) ~src ~soff ~dst ~doff ~len);
-      first := false
-    end
-  done;
-  (* An all-zero row still must define the output range: dst buffers come
-     from Bytes.create, whose contents are unspecified. *)
-  if !first then Bytes.fill dst (doff + off) len '\000'
-
-(* Compatibility wrapper over the word sweeps: common offset, columns in
-   separate buffers. *)
-let apply_row ~coeffs ~srcs ~dst ~off ~len =
-  let terms = Array.length coeffs in
-  if Array.length srcs <> terms then
-    invalid_arg "Kernel.apply_row: coefficient/source count mismatch";
-  if off < 0 || len < 0 || off + len > Bytes.length dst then
-    invalid_arg "Kernel.apply_row: range outside dst";
-  let wtables = row_wtables coeffs in
-  let soffs = Array.make terms 0 in
-  apply_row_v ~coeffs ~wtables ~srcs ~soffs ~dst ~doff:0 ~off ~len
-
-let apply_row16 ~coeffs ~tables ~srcs ~dst ~off ~len =
-  let terms = Array.length coeffs in
-  if Array.length srcs <> terms || Array.length tables <> terms then
-    invalid_arg "Kernel.apply_row16: coefficient/table/source count mismatch";
-  let first = ref true in
-  for j = 0 to terms - 1 do
-    let c = coeffs.(j) in
-    if c <> Gf16.zero then begin
-      if !first then
-        if c = Gf16.one then Bytes.blit srcs.(j) (2 * off) dst (2 * off) (2 * len)
-        else Gf16.mul_buf tables.(j) ~src:srcs.(j) ~dst ~off ~len
-      else Gf16.muladd_buf tables.(j) ~src:srcs.(j) ~dst ~off ~len;
-      first := false
-    end
-  done;
-  if !first then Bytes.fill dst (2 * off) (2 * len) '\000'
-
-(* GF(2^16) view row application, split-table flavour: byte offsets and
-   lengths (even), arbitrary per-source and destination offsets. Used
-   where coefficients are one-shot (decode submatrices on small
-   fragments) so a chunk-table build would not amortize. *)
-let apply_row16_v ~coeffs ~tables ~srcs ~soffs ~dst ~doff ~off ~len =
+let apply_terms ~fname ~mul ~muladd ~coeffs ~tables ~srcs ~soffs ~dst ~doff
+    ~off ~len =
   let terms = Array.length coeffs in
   if
     Array.length srcs <> terms
     || Array.length tables <> terms
     || Array.length soffs <> terms
-  then invalid_arg "Kernel.apply_row16_v: coefficient/source count mismatch";
+  then invalid_arg (fname ^ ": coefficient/source count mismatch");
   let first = ref true in
   for j = 0 to terms - 1 do
     let c = coeffs.(j) in
-    if c <> Gf16.zero then begin
+    if c <> 0 then begin
       let src = srcs.(j) and soff = soffs.(j) + off in
       let doff = doff + off in
       if !first then
-        if c = Gf16.one then begin
+        if c = 1 then begin
           if
             soff < 0 || len < 0
             || soff + len > Bytes.length src
             || doff + len > Bytes.length dst
-          then invalid_arg "Kernel.apply_row16_v: range outside buffers";
+          then invalid_arg (fname ^ ": range outside buffers");
           Bytes.blit src soff dst doff len
         end
-        else Gf16.mul_buf_v tables.(j) ~src ~soff ~dst ~doff ~len
-      else if c = Gf16.one then Galois.Wops.xor_into ~src ~soff ~dst ~doff ~len
-      else Gf16.muladd_buf_v tables.(j) ~src ~soff ~dst ~doff ~len;
+        else mul tables.(j) ~src ~soff ~dst ~doff ~len
+      else if c = 1 then Galois.Wops.xor_into ~src ~soff ~dst ~doff ~len
+      else muladd tables.(j) ~src ~soff ~dst ~doff ~len;
       first := false
     end
   done;
   if !first then Bytes.fill dst (doff + off) len '\000'
 
-(* Word-sliced flavour of the same: chunk tables, 8 bytes per load.
-   Used where coefficients are reused across many sweeps (generator
-   rows, big decodes). *)
+(* The entry points are eta-expanded: a partial application of
+   [apply_terms] would allocate a closure on every call. *)
+let apply_row_v ~coeffs ~wtables ~srcs ~soffs ~dst ~doff ~off ~len =
+  apply_terms ~fname:"Kernel.apply_row_v" ~mul:Gf.mul_buf_w
+    ~muladd:Gf.muladd_buf_w ~coeffs ~tables:wtables ~srcs ~soffs ~dst ~doff
+    ~off ~len
+
+let apply_row8_v ~coeffs ~tables ~srcs ~soffs ~dst ~doff ~off ~len =
+  apply_terms ~fname:"Kernel.apply_row8_v" ~mul:Gf.mul_buf_v
+    ~muladd:Gf.muladd_buf_v ~coeffs ~tables ~srcs ~soffs ~dst ~doff ~off ~len
+
+let apply_row16_v ~coeffs ~tables ~srcs ~soffs ~dst ~doff ~off ~len =
+  apply_terms ~fname:"Kernel.apply_row16_v" ~mul:Gf16.mul_buf_v
+    ~muladd:Gf16.muladd_buf_v ~coeffs ~tables ~srcs ~soffs ~dst ~doff ~off
+    ~len
+
 let apply_row16_w ~coeffs ~wtables ~srcs ~soffs ~dst ~doff ~off ~len =
-  let terms = Array.length coeffs in
-  if
-    Array.length srcs <> terms
-    || Array.length wtables <> terms
-    || Array.length soffs <> terms
-  then invalid_arg "Kernel.apply_row16_w: coefficient/source count mismatch";
-  let first = ref true in
-  for j = 0 to terms - 1 do
-    let c = coeffs.(j) in
-    if c <> Gf16.zero then begin
-      let src = srcs.(j) and soff = soffs.(j) + off in
-      let doff = doff + off in
-      if !first then
-        if c = Gf16.one then begin
-          if
-            soff < 0 || len < 0
-            || soff + len > Bytes.length src
-            || doff + len > Bytes.length dst
-          then invalid_arg "Kernel.apply_row16_w: range outside buffers";
-          Bytes.blit src soff dst doff len
-        end
-        else Gf16.mul_buf_w wtables.(j) ~src ~soff ~dst ~doff ~len
-      else if c = Gf16.one then Galois.Wops.xor_into ~src ~soff ~dst ~doff ~len
-      else Gf16.muladd_buf_w wtables.(j) ~src ~soff ~dst ~doff ~len;
-      first := false
-    end
-  done;
-  if !first then Bytes.fill dst (doff + off) len '\000'
+  apply_terms ~fname:"Kernel.apply_row16_w" ~mul:Gf16.mul_buf_w
+    ~muladd:Gf16.muladd_buf_w ~coeffs ~tables:wtables ~srcs ~soffs ~dst ~doff
+    ~off ~len
 
 (* ------------------------------------------------------------------ *)
 (* Domain-parallel striping. *)

@@ -34,9 +34,6 @@ val muladd_buf :
   table -> src:Bytes.t -> dst:Bytes.t -> off:int -> len:int -> unit
 (** [dst.[i] <- dst.[i] xor c * src.[i]] over [off, off+len). *)
 
-val row_tables : Galois.Gf.t array -> table array
-(** Tables for every coefficient of a matrix row. *)
-
 val row_tables16 : Galois.Gf16.t array -> table16 array
 (** GF(2{^16}) row tables. Builds (and caches) each coefficient's split
     tables; call in the coordinating domain before {!parallel_rows} —
@@ -100,19 +97,6 @@ val merge_cols_sub :
     materializing the framed buffer.
     @raise Invalid_argument on ragged views or out-of-range spans. *)
 
-val apply_row :
-  coeffs:Galois.Gf.t array ->
-  srcs:Bytes.t array ->
-  dst:Bytes.t ->
-  off:int ->
-  len:int ->
-  unit
-(** [apply_row ~coeffs ~srcs ~dst ~off ~len] computes one output row over
-    the given stripe range: [dst = sum_j coeffs.(j) * srcs.(j)]. Zero
-    coefficients are skipped entirely, a leading unit coefficient is a
-    [Bytes.blit], and the range is zero-filled if every coefficient is
-    zero (so [dst] may be a fresh [Bytes.create]). *)
-
 val apply_row_v :
   coeffs:Galois.Gf.t array ->
   wtables:wtable array ->
@@ -129,20 +113,24 @@ val apply_row_v :
     (prebuilt by the caller, keeping table construction out of
     {!parallel_rows} shards). Zero coefficients are skipped, a leading
     unit is a blit, a trailing unit an 8-byte-wide xor, and an all-zero
-    row zero-fills. This is {!apply_row} generalized to views over
-    shared backing buffers. *)
+    row zero-fills. Sources and destination may be views into shared
+    backing buffers. *)
 
-val apply_row16 :
-  coeffs:Galois.Gf16.t array ->
-  tables:table16 array ->
+val apply_row8_v :
+  coeffs:Galois.Gf.t array ->
+  tables:table array ->
   srcs:Bytes.t array ->
+  soffs:int array ->
   dst:Bytes.t ->
+  doff:int ->
   off:int ->
   len:int ->
   unit
-(** GF(2{^16}) row application; [off]/[len] count 16-bit symbols and
-    [tables] must be [row_tables16 coeffs] (precomputed by the caller so
-    the sweep itself is domain-safe). *)
+(** {!apply_row_v} on 256-entry product tables ([tables.(j) =
+    mul_table coeffs.(j)]) instead of chunk tables. Every table stays in
+    L1, so it is the faster sweep once the codec shares the cache with a
+    large heap and many coefficients (the BCH codec's solve-and-check
+    decode and its encode). *)
 
 val apply_row16_v :
   coeffs:Galois.Gf16.t array ->

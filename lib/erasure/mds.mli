@@ -72,11 +72,10 @@ val update :
 (** [update t ~fragments ~value ~pos patch] returns the value with
     [patch] written at [pos] together with fragments identical to
     [encode] of that patched value. [fragments] must be all [n]
-    fragments of [value] (any order, distinct indices). The linear
-    codecs (Vandermonde, systematic, GF(2{^16}), replication) maintain
-    parity incrementally — work proportional to the patch, not the
-    value; the BCH-form codecs fall back to a full re-encode. Inputs are
-    never mutated.
+    fragments of [value] (any order, distinct indices). Every codec is
+    linear and maintains parity incrementally — work proportional to
+    the patch, not the value (see {!Rs_update}). Inputs are never
+    mutated.
     @raise Invalid_argument if the patch leaves the value's bounds or
     the fragment set is malformed. *)
 

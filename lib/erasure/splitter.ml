@@ -11,27 +11,34 @@ let frame ~k v =
   Bytes.blit v 0 out header_len len;
   out
 
+(* Header checks shared by [unframe] and [extract], so both reject a
+   malformed frame with the same message: a framed layout of [total]
+   bytes must hold the header, and the value length [hdr] declares must
+   fit in it. *)
+let check_total total =
+  if total < header_len then invalid_arg "Splitter: frame shorter than header"
+
+let value_len ~total hdr =
+  let len = Int32.to_int (Bytes.get_int32_be hdr 0) in
+  if len < 0 || header_len + len > total then
+    invalid_arg "Splitter: corrupt length header";
+  len
+
 let unframe framed =
-  if Bytes.length framed < header_len then
-    invalid_arg "Splitter.unframe: buffer shorter than header";
-  let len = Int32.to_int (Bytes.get_int32_be framed 0) in
-  if len < 0 || header_len + len > Bytes.length framed then
-    invalid_arg "Splitter.unframe: corrupt length header";
-  Bytes.sub framed header_len len
+  let total = Bytes.length framed in
+  check_total total;
+  Bytes.sub framed header_len (value_len ~total framed)
 
 (* Decode counterpart of [unframe] for the zero-copy path: the framed
    buffer is never materialized; header and value bytes are interleaved
    straight out of the k decoded column views. *)
 let extract ~k ~bps ~bufs ~offs ~col_len =
   let total = k * col_len in
-  if total < header_len then
-    invalid_arg "Splitter.extract: columns shorter than header";
+  check_total total;
   let hdr = Bytes.create header_len in
   Kernel.merge_cols_sub ~k ~bps ~bufs ~offs ~col_len ~lo:0 ~len:header_len
     ~dst:hdr ~doff:0;
-  let len = Int32.to_int (Bytes.get_int32_be hdr 0) in
-  if len < 0 || header_len + len > total then
-    invalid_arg "Splitter.extract: corrupt length header";
+  let len = value_len ~total hdr in
   let out = Bytes.create len in
   Kernel.merge_cols_sub ~k ~bps ~bufs ~offs ~col_len ~lo:header_len ~len
     ~dst:out ~doff:0;

@@ -32,7 +32,8 @@ val extract :
     range of [bufs.(j)] at [offs.(j)]; see {!Kernel.merge_cols_sub}):
     parses and validates the length header, then interleaves exactly the
     value bytes into a fresh buffer. Equivalent to
-    [unframe (merge_cols cols)] without materializing the framed buffer.
+    [unframe (merge_cols cols)] without materializing the framed buffer,
+    down to the message it raises on a malformed frame.
     @raise Invalid_argument on a malformed frame or ragged views. *)
 
 val stripe_count : k:int -> value_len:int -> int

@@ -3,9 +3,9 @@
     A symbol module fixes the field the code works over and how one code
     symbol is laid out in a byte buffer; the generic codecs
     ({!Rs_bch_gen}) are functors over this. Besides single-symbol get/set
-    it now also exposes the buffer-level product-table sweeps of the
-    codec kernel (see {!Kernel} and DESIGN.md "Codec kernel"), so the
-    functors can run row-major over whole fragments. *)
+    it exposes the view-aware row sweep of the codec kernel (see {!Kernel}
+    and DESIGN.md "Codec kernel") and the incremental parity update for
+    the field, so the functors run row-major over whole fragments. *)
 
 module type S = sig
   module F : Galois.Field.S
@@ -16,24 +16,43 @@ module type S = sig
   (** Longest supported code: [F.order - 1]. *)
 
   val get : bytes -> int -> F.t
-  (** [get buf i] reads symbol number [i]. *)
+  (** [get buf pos] reads the symbol starting at byte [pos]. *)
 
   val set : bytes -> int -> F.t -> unit
+  (** [set buf pos v] writes the symbol starting at byte [pos]. *)
 
-  type mul_table
-  (** Product table(s) for one fixed coefficient. *)
+  type row_tables
+  (** Product tables for every coefficient of one matrix row. *)
 
-  val mul_table : F.t -> mul_table
-  (** Build (or fetch from cache) the table for a coefficient. Call in
-      the coordinating domain before sharding work across domains. *)
+  val row_tables : F.t array -> row_tables
+  (** Build (or fetch from cache) a row's tables. Call in the
+      coordinating domain before sharding work across domains. *)
 
-  val mul_buf : mul_table -> src:bytes -> dst:bytes -> off:int -> len:int -> unit
-  (** [dst = c * src] over symbols [off, off+len) ([off]/[len] count
-      symbols, not bytes). *)
+  val apply_row :
+    coeffs:F.t array ->
+    tables:row_tables ->
+    srcs:bytes array ->
+    soffs:int array ->
+    dst:bytes ->
+    doff:int ->
+    off:int ->
+    len:int ->
+    unit
+  (** [dst.[doff+off ..] <- sum_j coeffs.(j) * srcs.(j).[soffs.(j)+off ..]]
+      over [len] bytes ([off]/[len] whole symbols); see
+      {!Kernel.apply_row_v}. *)
 
-  val muladd_buf :
-    mul_table -> src:bytes -> dst:bytes -> off:int -> len:int -> unit
-  (** [dst += c * src] over symbols [off, off+len). *)
+  val update :
+    ?domains:int ->
+    n:int ->
+    k:int ->
+    rows:F.t array array ->
+    fragments:Fragment.t array ->
+    value:bytes ->
+    pos:int ->
+    bytes ->
+    bytes * Fragment.t array
+  (** {!Rs_update.update} for the field. *)
 end
 
 (** One byte per symbol, GF(2{^8}): codes up to length 255. *)
@@ -42,14 +61,15 @@ module Byte : S with module F = Galois.Gf = struct
 
   let bytes_per_symbol = 1
   let max_n = 255
-  let get buf i = Char.code (Bytes.get buf i)
-  let set buf i v = Bytes.set buf i (Char.chr v)
+  let get buf pos = Char.code (Bytes.get buf pos)
+  let set buf pos v = Bytes.set buf pos (Char.chr v)
 
-  type mul_table = Bytes.t
+  type row_tables = Kernel.table array
 
-  let mul_table = F.mul_table
-  let mul_buf t ~src ~dst ~off ~len = F.mul_buf t ~src ~dst ~off ~len
-  let muladd_buf t ~src ~dst ~off ~len = F.muladd_buf t ~src ~dst ~off ~len
+  let row_tables = Array.map Kernel.mul_table
+  let apply_row = Kernel.apply_row8_v
+
+  let update = Rs_update.update
 end
 
 (** Two bytes (big-endian) per symbol, GF(2{^16}): codes up to 65535. *)
@@ -58,12 +78,12 @@ module Wide : S with module F = Galois.Gf16 = struct
 
   let bytes_per_symbol = 2
   let max_n = 65535
-  let get buf i = Bytes.get_uint16_be buf (2 * i)
-  let set buf i v = Bytes.set_uint16_be buf (2 * i) v
+  let get = Bytes.get_uint16_be
+  let set = Bytes.set_uint16_be
 
-  type mul_table = F.mul_tables
+  type row_tables = Kernel.table16 array
 
-  let mul_table = F.mul_tables
-  let mul_buf t ~src ~dst ~off ~len = F.mul_buf t ~src ~dst ~off ~len
-  let muladd_buf t ~src ~dst ~off ~len = F.muladd_buf t ~src ~dst ~off ~len
+  let row_tables = Kernel.row_tables16
+  let apply_row = Kernel.apply_row16_v
+  let update = Rs_update.update16
 end

@@ -97,41 +97,77 @@ let mul_table c =
     invalid_arg (Printf.sprintf "Gf.mul_table: %d out of range [0, 255]" c)
   else all_tables.(c)
 
-let check_buf_args ~fname table ~src ~dst ~off ~len =
+let check_buf_args ~fname table ~src ~soff ~dst ~doff ~len =
   if Bytes.length table <> order then
     invalid_arg (fname ^ ": table must have 256 entries");
-  if off < 0 || len < 0
+  if soff < 0 || doff < 0 || len < 0
      || (len > 0
-        && (off + len > Bytes.length src || off + len > Bytes.length dst))
+        && (soff + len > Bytes.length src || doff + len > Bytes.length dst))
   then
     invalid_arg
-      (Printf.sprintf "%s: range [%d, %d) outside buffers (src %d, dst %d)"
-         fname off (off + len) (Bytes.length src) (Bytes.length dst))
+      (Printf.sprintf
+         "%s: range [%d, %d) -> [%d, %d) outside buffers (src %d, dst %d)"
+         fname soff (soff + len) doff (doff + len) (Bytes.length src)
+         (Bytes.length dst))
 
 (* U1 audit: the [unsafe_get]/[unsafe_set] in the loops below are
-   justified by [check_buf_args]: every index is in [off, off+len),
-   inside both buffers, and every table index is a byte. The word
-   sweeps additionally go through [Wops], whose [debug_checks]
-   (soda-debug profile / SODA_DEBUG env) re-asserts each range. *)
+   justified by [check_buf_args]: every src index is in
+   [soff, soff+len) and every dst index in [doff, doff+len), each
+   inside its buffer, and every table index is a byte. The word sweeps
+   additionally go through [Wops], whose [debug_checks] (soda-debug
+   profile / SODA_DEBUG env) re-asserts each range. *)
 [@@@lint.allow
   "U1: entry checks put every offset inside both buffers and every table \
    index is a byte; Wops debug_checks re-asserts each range"]
 
+(* Views with distinct offsets reach dst through a fixed delta from the
+   src index. The common-offset case (encode, and the [mul_buf] /
+   [muladd_buf] entry points) keeps a single index: the extra add costs
+   ~12% of these loops. *)
+let mul_sweep ~fname table ~src ~soff ~dst ~doff ~len =
+  check_buf_args ~fname table ~src ~soff ~dst ~doff ~len;
+  if soff = doff then
+    for i = soff to soff + len - 1 do
+      let x = Char.code (Bytes.unsafe_get src i) in
+      Bytes.unsafe_set dst i (Bytes.unsafe_get table x)
+    done
+  else
+    let delta = doff - soff in
+    for i = soff to soff + len - 1 do
+      let x = Char.code (Bytes.unsafe_get src i) in
+      Bytes.unsafe_set dst (i + delta) (Bytes.unsafe_get table x)
+    done
+
+let muladd_sweep ~fname table ~src ~soff ~dst ~doff ~len =
+  check_buf_args ~fname table ~src ~soff ~dst ~doff ~len;
+  if soff = doff then
+    for i = soff to soff + len - 1 do
+      let x = Char.code (Bytes.unsafe_get src i) in
+      let p = Char.code (Bytes.unsafe_get table x) in
+      let d = Char.code (Bytes.unsafe_get dst i) in
+      Bytes.unsafe_set dst i (Char.unsafe_chr (p lxor d))
+    done
+  else
+    let delta = doff - soff in
+    for i = soff to soff + len - 1 do
+      let x = Char.code (Bytes.unsafe_get src i) in
+      let p = Char.code (Bytes.unsafe_get table x) in
+      let j = i + delta in
+      let d = Char.code (Bytes.unsafe_get dst j) in
+      Bytes.unsafe_set dst j (Char.unsafe_chr (p lxor d))
+    done
+
 let mul_buf table ~src ~dst ~off ~len =
-  check_buf_args ~fname:"Gf.mul_buf" table ~src ~dst ~off ~len;
-  for i = off to off + len - 1 do
-    let x = Char.code (Bytes.unsafe_get src i) in
-    Bytes.unsafe_set dst i (Bytes.unsafe_get table x)
-  done
+  mul_sweep ~fname:"Gf.mul_buf" table ~src ~soff:off ~dst ~doff:off ~len
 
 let muladd_buf table ~src ~dst ~off ~len =
-  check_buf_args ~fname:"Gf.muladd_buf" table ~src ~dst ~off ~len;
-  for i = off to off + len - 1 do
-    let x = Char.code (Bytes.unsafe_get src i) in
-    let p = Char.code (Bytes.unsafe_get table x) in
-    let d = Char.code (Bytes.unsafe_get dst i) in
-    Bytes.unsafe_set dst i (Char.unsafe_chr (p lxor d))
-  done
+  muladd_sweep ~fname:"Gf.muladd_buf" table ~src ~soff:off ~dst ~doff:off ~len
+
+let mul_buf_v table ~src ~soff ~dst ~doff ~len =
+  mul_sweep ~fname:"Gf.mul_buf_v" table ~src ~soff ~dst ~doff ~len
+
+let muladd_buf_v table ~src ~soff ~dst ~doff ~len =
+  muladd_sweep ~fname:"Gf.muladd_buf_v" table ~src ~soff ~dst ~doff ~len
 
 (* ------------------------------------------------------------------ *)
 (* Word-sliced sweeps.

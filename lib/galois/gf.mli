@@ -105,6 +105,23 @@ val muladd_buf :
     [dst += c * src] sweep at the heart of row-major encode/decode.
     @raise Invalid_argument as {!mul_buf}. *)
 
+val mul_buf_v :
+  Bytes.t -> src:Bytes.t -> soff:int -> dst:Bytes.t -> doff:int -> len:int -> unit
+(** [mul_buf_v table ~src ~soff ~dst ~doff ~len]:
+    [dst.[doff+i] <- table.[src.[soff+i]]] for [i] in [0, len) — {!mul_buf}
+    over views with separate offsets. The sweep for one-shot coefficient
+    sets and short fragments, where its 256-byte table stays in cache
+    and a 128 KiB {!wtable} would not. [src] and [dst] may alias only
+    with [soff = doff].
+    @raise Invalid_argument if either range exceeds its buffer or the
+    table is not 256 bytes. *)
+
+val muladd_buf_v :
+  Bytes.t -> src:Bytes.t -> soff:int -> dst:Bytes.t -> doff:int -> len:int -> unit
+(** [muladd_buf_v table ~src ~soff ~dst ~doff ~len]:
+    [dst.[doff+i] <- dst.[doff+i] xor table.[src.[soff+i]]]; as
+    {!mul_buf_v}. *)
+
 (** {1 Word-sliced sweeps}
 
     The byte-table sweeps above process one byte per table load; the

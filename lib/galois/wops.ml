@@ -138,6 +138,34 @@ let xor_into ~src ~soff ~dst ~doff ~len =
     incr i
   done
 
+(* dst[doff+i] |= a[aoff+i] ^ b[boff+i]: accumulates where two buffers
+   differ (the consistency flags of the solve-and-check decode). dst
+   must not overlap a or b. *)
+let or_xor_into ~a ~aoff ~b ~boff ~dst ~doff ~len =
+  check_range ~fname:"Wops.or_xor_into" a ~off:aoff ~len;
+  check_range ~fname:"Wops.or_xor_into" b ~off:boff ~len;
+  check_range ~fname:"Wops.or_xor_into" dst ~off:doff ~len;
+  let i = ref 0 in
+  while len - !i >= 8 do
+    let j = !i in
+    if debug_checks then
+      assert (
+        aoff + j + 8 <= Bytes.length a
+        && boff + j + 8 <= Bytes.length b
+        && doff + j + 8 <= Bytes.length dst);
+    set64 dst (doff + j)
+      (Int64.logor (get64 dst (doff + j))
+         (Int64.logxor (get64 a (aoff + j)) (get64 b (boff + j))));
+    i := j + 8
+  done;
+  while !i < len do
+    let j = !i in
+    let x = Char.code (Bytes.get a (aoff + j)) lxor Char.code (Bytes.get b (boff + j)) in
+    let d = Char.code (Bytes.get dst (doff + j)) in
+    Bytes.set dst (doff + j) (Char.unsafe_chr (x lor d));
+    incr i
+  done
+
 (* The shared 64-bit product step: one word of src through four chunk
    lookups. [muladd] xors into dst, [mul] overwrites. Unrolled x2 —
    measured the knee of the curve; x4 gained nothing. *)

@@ -46,6 +46,15 @@ val xor_into : src:Bytes.t -> soff:int -> dst:Bytes.t -> doff:int -> len:int -> 
     [0, len), 8 bytes at a time. Any [len >= 0].
     @raise Invalid_argument if either range exceeds its buffer. *)
 
+val or_xor_into :
+  a:Bytes.t -> aoff:int -> b:Bytes.t -> boff:int -> dst:Bytes.t -> doff:int -> len:int -> unit
+(** [or_xor_into ~a ~aoff ~b ~boff ~dst ~doff ~len]:
+    [dst.[doff+i] <- dst.[doff+i] lor (a.[aoff+i] xor b.[boff+i])] for
+    [i] in [0, len), 8 bytes at a time — [dst] accumulates, byte by
+    byte, whether [a] and [b] ever differed. [dst] must not overlap
+    [a] or [b].
+    @raise Invalid_argument if any range exceeds its buffer. *)
+
 val muladd_chunks :
   chunk_table -> src:Bytes.t -> soff:int -> dst:Bytes.t -> doff:int -> len:int -> unit
 (** [muladd_chunks t ~src ~soff ~dst ~doff ~len]: [dst += c * src] over

@@ -671,7 +671,32 @@ let update_tests =
           (raises_invalid (fun () ->
                Mds.update code
                  ~fragments:(Array.sub frags 0 3)
-                 ~value:v ~pos:0 (Bytes.of_string "x"))))
+                 ~value:v ~pos:0 (Bytes.of_string "x"))));
+    qtest "rs-bch/rs-bch16 update patches parity in place = encode of the patch"
+      QCheck2.Gen.(
+        int_range 2 12 >>= fun n ->
+        int_range 1 n >>= fun k ->
+        bool >>= fun wide ->
+        string_size (int_range 1 1500) >>= fun v ->
+        let len = String.length v in
+        int_range 0 (len - 1) >>= fun pos ->
+        string_size (int_range 1 (len - pos)) >|= fun p ->
+        (n, k, wide, Bytes.of_string v, pos, Bytes.of_string p))
+      (fun (n, k, wide, v, pos, patch) ->
+        let code = if wide then Mds.rs_bch16 ~n ~k else Mds.rs_bch ~n ~k in
+        let new_value, new_frags =
+          Mds.update code ~fragments:(Mds.encode code v) ~value:v ~pos patch
+        in
+        let expect = Bytes.copy v in
+        Bytes.blit patch 0 expect pos (Bytes.length patch);
+        let fresh = Mds.encode code expect in
+        Bytes.equal new_value expect
+        && Array.for_all2 Fragment.equal new_frags fresh
+        (* the incremental path returns views into one patched backing
+           buffer; a re-encode would return one buffer per fragment *)
+        && Array.for_all
+             (fun f -> Fragment.buf f == Fragment.buf new_frags.(0))
+             new_frags)
   ]
 
 let () =

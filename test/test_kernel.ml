@@ -295,6 +295,297 @@ let bch_tests =
   ]
 
 (* ------------------------------------------------------------------ *)
+(* BCH decode differential: solve-and-check must return exactly what the
+   per-stripe errors-and-erasures loop returns — the same bytes, or the
+   same exception with the same message — on any input, inside the
+   decoding radius or beyond it. The oracle is that loop as the codec
+   ran it on every stripe before solve-and-check (syndromes, Sugiyama,
+   Chien, Forney, then unframe), on the codec's own field. *)
+
+type outcome =
+  | Value of bytes
+  | Insufficient of int * int
+  | Failure of string
+  | Invalid of string
+
+let pp_outcome = function
+  | Value v -> Printf.sprintf "value (%d bytes)" (Bytes.length v)
+  | Insufficient (needed, got) -> Printf.sprintf "insufficient %d/%d" got needed
+  | Failure m -> "Decode_failure " ^ m
+  | Invalid m -> "Invalid_argument " ^ m
+
+module Ref_bch_decode (F : Galois.Field.S with type t = int) (W : sig
+  val bps : int
+  val get : bytes -> int -> int
+  val set : bytes -> int -> int -> unit
+end) =
+struct
+  module Poly = Galois.Poly_gen.Make (F)
+
+  exception Failed of string
+  exception Short of int * int
+
+  let syndromes ~n ~k (received : int array) =
+    Array.init (n - k) (fun j ->
+        let x = F.alpha_pow (j + 1) in
+        let acc = ref F.zero in
+        for i = n - 1 downto 0 do
+          acc := F.add (F.mul !acc x) received.(i)
+        done;
+        !acc)
+
+  let sugiyama ~two_t ~num_erasures tpoly =
+    let r_prev = ref (Poly.monomial two_t F.one) in
+    let r_cur = ref tpoly in
+    let v_prev = ref Poly.zero in
+    let v_cur = ref Poly.one in
+    while 2 * Poly.degree !r_cur >= two_t + num_erasures do
+      let q, rem = Poly.div_mod !r_prev !r_cur in
+      let v_next = Poly.sub !v_prev (Poly.mul q !v_cur) in
+      r_prev := !r_cur;
+      r_cur := rem;
+      v_prev := !v_cur;
+      v_cur := v_next
+    done;
+    (!v_cur, !r_cur)
+
+  let correct_stripe ~n ~k ~gamma ~num_erasures (received : int array) =
+    let two_t = n - k in
+    let s_poly = Poly.of_coeffs (syndromes ~n ~k received) in
+    if not (Poly.is_zero s_poly) || num_erasures > 0 then begin
+      let t_poly = Poly.truncate two_t (Poly.mul s_poly gamma) in
+      let lambda, omega = sugiyama ~two_t ~num_erasures t_poly in
+      if Poly.is_zero lambda || F.is_zero (Poly.coeff lambda 0) then
+        raise (Failed "degenerate error locator");
+      let xi = Poly.mul lambda gamma in
+      let xi' = Poly.derivative xi in
+      let found = ref 0 in
+      for i = 0 to n - 1 do
+        let x_inv = F.alpha_pow (-i) in
+        if F.is_zero (Poly.eval xi x_inv) then begin
+          incr found;
+          let denom = Poly.eval xi' x_inv in
+          if F.is_zero denom then raise (Failed "Forney denominator vanished");
+          received.(i) <- F.add received.(i) (F.div (Poly.eval omega x_inv) denom)
+        end
+      done;
+      if !found <> Poly.degree xi then
+        raise (Failed "error locator has roots outside the code");
+      if Array.exists (fun s -> not (F.is_zero s)) (syndromes ~n ~k received)
+      then raise (Failed "correction did not produce a codeword")
+    end
+
+  let decode_exn ~n ~k frags =
+    let present = Array.make n false in
+    let datas = Array.make n Bytes.empty in
+    let count = ref 0 in
+    let size = ref (-1) in
+    List.iter
+      (fun f ->
+        let i = Fragment.index f in
+        if i < 0 || i >= n then
+          invalid_arg (Printf.sprintf "Rs_bch.decode: index %d out of range" i);
+        if not present.(i) then begin
+          present.(i) <- true;
+          datas.(i) <- Fragment.data f;
+          incr count;
+          if !size < 0 then size := Bytes.length datas.(i)
+          else if Bytes.length datas.(i) <> !size then
+            invalid_arg "Rs_bch.decode: fragment sizes differ"
+        end)
+      frags;
+    if !count < k then raise (Short (k, !count));
+    if !size mod W.bps <> 0 then
+      invalid_arg "Rs_bch.decode: fragment size not a whole symbol count";
+    let stripes = !size / W.bps in
+    let num_erasures = ref 0 in
+    let gamma = ref Poly.one in
+    for i = 0 to n - 1 do
+      if not present.(i) then begin
+        incr num_erasures;
+        gamma := Poly.mul !gamma (Poly.of_list [ F.one; F.alpha_pow i ])
+      end
+    done;
+    if !num_erasures > n - k then raise (Failed "more erasures than parity symbols");
+    let gamma = !gamma and num_erasures = !num_erasures in
+    let framed = Bytes.create (stripes * W.bps * k) in
+    let received = Array.make n 0 in
+    for s = 0 to stripes - 1 do
+      for i = 0 to n - 1 do
+        received.(i) <- (if present.(i) then W.get datas.(i) s else 0)
+      done;
+      correct_stripe ~n ~k ~gamma ~num_erasures received;
+      for j = 0 to k - 1 do
+        W.set framed ((s * k) + j) received.(n - k + j)
+      done
+    done;
+    Splitter.unframe framed
+
+  let decode ~n ~k frags =
+    match decode_exn ~n ~k frags with
+    | v -> Value v
+    | exception Short (needed, got) -> Insufficient (needed, got)
+    | exception Failed m -> Failure m
+    | exception Invalid_argument m -> Invalid m
+end
+
+module Ref_bch8 =
+  Ref_bch_decode
+    (Galois.Gf)
+    (struct
+      let bps = 1
+      let get = get8
+      let set = set8
+    end)
+
+module Ref_bch16 =
+  Ref_bch_decode
+    (Galois.Gf16)
+    (struct
+      let bps = 2
+      let get = get16
+      let set = set16
+    end)
+
+(* The codec under test, behind the same outcome type. *)
+let bch8_decode ?domains ~n ~k frags =
+  let code = Erasure.Rs_bch.make ~n ~k in
+  match Erasure.Rs_bch.decode ?domains code frags with
+  | v -> Value v
+  | exception Erasure.Rs_bch.Insufficient_fragments { needed; got } ->
+    Insufficient (needed, got)
+  | exception Erasure.Rs_bch.Decode_failure m -> Failure m
+  | exception Invalid_argument m -> Invalid m
+
+let bch16_decode ?domains ~n ~k frags =
+  let code = Erasure.Rs_bch16.make ~n ~k in
+  match Erasure.Rs_bch16.decode ?domains code frags with
+  | v -> Value v
+  | exception Erasure.Rs_bch16.Insufficient_fragments { needed; got } ->
+    Insufficient (needed, got)
+  | exception Erasure.Rs_bch16.Decode_failure m -> Failure m
+  | exception Invalid_argument m -> Invalid m
+
+(* A received set: erasures (possibly more than n-k, down to fewer than
+   k survivors), whole-fragment corruption, sparse per-stripe symbol
+   errors at varying coordinates (a random count up to [sparse_max] per
+   hit stripe, so many patterns land beyond the radius), a shuffled
+   order and sometimes a trailing duplicate index (first one wins). *)
+type received_spec = {
+  n : int;
+  k : int;
+  value : bytes;
+  erased : int;  (* count, taken from the front of [perm] *)
+  whole : int;  (* count, taken after the erased ones *)
+  sparse_max : int;
+  sparse_pct : int;  (* chance, in percent, that a stripe is hit *)
+  noise : int;  (* seed of the sparse-error draws and the shuffle *)
+  dup : bool;
+  perm : int array
+}
+
+let received_gen ~max_len =
+  QCheck2.Gen.(
+    int_range 1 12 >>= fun n ->
+    int_range 1 n >>= fun k ->
+    (* mostly within the erasure budget; now and then one past it *)
+    frequency [ (9, int_range 0 (n - k)); (1, return (min n (n - k + 1))) ]
+    >>= fun erased ->
+    int_range 0 (min 2 (n - erased)) >>= fun whole ->
+    int_range 0 3 >>= fun sparse_max ->
+    oneofl [ 0; 3; 10; 30; 100 ] >>= fun sparse_pct ->
+    int >>= fun noise ->
+    bool >>= fun dup ->
+    shuffle_a (Array.init n (fun i -> i)) >>= fun perm ->
+    bytes_gen max_len >|= fun value ->
+    { n; k; value; erased; whole; sparse_max; sparse_pct; noise; dup; perm })
+
+let print_spec r =
+  Printf.sprintf
+    "n=%d k=%d len=%d erased=%d whole=%d sparse_max=%d sparse_pct=%d noise=%d \
+     dup=%b perm=[%s]"
+    r.n r.k (Bytes.length r.value) r.erased r.whole r.sparse_max r.sparse_pct
+    r.noise r.dup
+    (String.concat ";" (Array.to_list (Array.map string_of_int r.perm)))
+
+let received_set ~bps (frags : Fragment.t array) r =
+  let rng = Random.State.make [| r.noise |] in
+  let survivors = Array.sub r.perm r.erased (r.n - r.erased) in
+  let datas =
+    Array.map
+      (fun i ->
+        if Array.mem i (Array.sub survivors 0 r.whole) then
+          Fragment.data (Fragment.corrupt frags.(i) ~seed:r.noise)
+        else Bytes.copy (Fragment.data frags.(i)))
+      survivors
+  in
+  let stripes = Fragment.size frags.(0) / bps in
+  if Array.length survivors > 0 && r.sparse_max > 0 then
+    for s = 0 to stripes - 1 do
+      if Random.State.int rng 100 < r.sparse_pct then
+        for _ = 1 to 1 + Random.State.int rng r.sparse_max do
+          let d = datas.(Random.State.int rng (Array.length datas)) in
+          let b = (bps * s) + Random.State.int rng bps in
+          let mask = 1 + Random.State.int rng 255 in
+          Bytes.set d b (Char.chr (Char.code (Bytes.get d b) lxor mask))
+        done
+    done;
+  let set =
+    Array.to_list
+      (Array.mapi (fun j i -> Fragment.make ~index:i ~data:datas.(j)) survivors)
+  in
+  let set =
+    List.map snd
+      (List.sort compare
+         (List.map (fun f -> (Random.State.bits rng, f)) set))
+  in
+  if r.dup && survivors <> [||] then
+    set @ [ frags.(survivors.(Random.State.int rng (Array.length survivors))) ]
+  else set
+
+let bch_diff ~bps ~encode ~decode ~reference r =
+  let frags = encode ~n:r.n ~k:r.k r.value in
+  let set = received_set ~bps frags r in
+  let expect = reference ~n:r.n ~k:r.k set in
+  List.for_all
+    (fun domains ->
+      let got = decode ~domains ~n:r.n ~k:r.k set in
+      got = expect
+      || QCheck2.Test.fail_reportf "domains=%d: got %s, oracle %s" domains
+           (pp_outcome got) (pp_outcome expect))
+    [ 1; 3 ]
+
+let bch8_diff =
+  bch_diff ~bps:1
+    ~encode:(fun ~n ~k v -> Erasure.Rs_bch.encode (Erasure.Rs_bch.make ~n ~k) v)
+    ~decode:(fun ~domains -> bch8_decode ~domains)
+    ~reference:Ref_bch8.decode
+
+let bch16_diff =
+  bch_diff ~bps:2
+    ~encode:(fun ~n ~k v ->
+      Erasure.Rs_bch16.encode (Erasure.Rs_bch16.make ~n ~k) v)
+    ~decode:(fun ~domains -> bch16_decode ~domains)
+    ~reference:Ref_bch16.decode
+
+let bch_decode_diff_tests =
+  let qtest ~count name ~max_len prop =
+    QCheck_alcotest.to_alcotest
+      (QCheck2.Test.make ~count ~name ~print:print_spec
+         (received_gen ~max_len) prop)
+  in
+  [ qtest ~count:1000 "rs-bch decode = per-stripe oracle" ~max_len:600 bch8_diff;
+    qtest ~count:500 "rs-bch16 decode = per-stripe oracle" ~max_len:600
+      bch16_diff;
+    (* values long enough that ~domains:3 really shards the sweeps and
+       the scalar stripe loop (>= 2 * 4096 stripes) *)
+    qtest ~count:6 "rs-bch decode = oracle, sharded sizes" ~max_len:0
+      (fun r -> bch8_diff { r with value = Bytes.make (8300 * r.k) 'v' });
+    qtest ~count:4 "rs-bch16 decode = oracle, sharded sizes" ~max_len:0
+      (fun r -> bch16_diff { r with value = Bytes.make (16600 * r.k) 'w' })
+  ]
+
+(* ------------------------------------------------------------------ *)
 (* Buffer primitives against mul_slow, symbol by symbol. *)
 
 let buf_tests =
@@ -370,6 +661,19 @@ let buf_tests =
             <> Gf.mul_slow c (Char.code (Bytes.get src (soff + i)))
           then ok := false
         done;
+        (* the byte-table view sweeps: muladd on top of mul zeroes out *)
+        let t = Gf.mul_table c in
+        Gf.mul_buf_v t ~src ~soff ~dst ~doff ~len;
+        for i = 0 to len - 1 do
+          if
+            Char.code (Bytes.get dst (doff + i))
+            <> Gf.mul_slow c (Char.code (Bytes.get src (soff + i)))
+          then ok := false
+        done;
+        Gf.muladd_buf_v t ~src ~soff ~dst ~doff ~len;
+        for i = 0 to len - 1 do
+          if Bytes.get dst (doff + i) <> '\000' then ok := false
+        done;
         !ok);
     qtest ~count:100 "Gf muladd_buf_w aliased src == dst"
       QCheck2.Gen.(
@@ -403,6 +707,18 @@ let buf_tests =
             Char.code (Bytes.get dst (doff + i))
             <> Char.code (Bytes.get dst0 (doff + i))
                lxor Char.code (Bytes.get raw (soff + i))
+          then ok := false
+        done;
+        (* or_xor_into accumulates dst0 lor (dst xor raw) *)
+        let acc = Bytes.copy dst0 in
+        Galois.Wops.or_xor_into ~a:dst ~aoff:doff ~b:raw ~boff:soff ~dst:acc
+          ~doff ~len;
+        for i = 0 to len - 1 do
+          if
+            Char.code (Bytes.get acc (doff + i))
+            <> Char.code (Bytes.get dst0 (doff + i))
+               lor (Char.code (Bytes.get dst (doff + i))
+                   lxor Char.code (Bytes.get raw (soff + i)))
           then ok := false
         done;
         !ok);
@@ -496,6 +812,7 @@ let () =
     [ ("encode-differential", encode_tests);
       ("decode-differential", decode_tests);
       ("bch-patterns", bch_tests);
+      ("bch-decode-oracle", bch_decode_diff_tests);
       ("buffer-primitives", buf_tests);
       ("parallel", parallel_tests)
     ]
