@@ -57,10 +57,12 @@ type point = {
   ns : float;
 }
 
-let measure ~codec ~op ~size ~domains f =
+(* [size] is the value size, part of the point's key; MB/s counts
+   [bytes] (default [size]), the bytes the call works on. *)
+let measure ~codec ~op ~size ?(bytes = size) ~domains f =
   let min_elapsed = if !smoke then 0.05 else 0.15 in
   let s = time_per_call ~min_elapsed ~min_iters:3 f in
-  { codec; op; size; domains; mbps = mb_per_s ~bytes:size s; ns = s *. 1e9 }
+  { codec; op; size; domains; mbps = mb_per_s ~bytes s; ns = s *. 1e9 }
 
 let codec_points ~domains ?(corrects = false) code size =
   let value = value_of_size size in
@@ -99,14 +101,18 @@ let codec_points ~domains ?(corrects = false) code size =
       [ measure ~codec:name ~op:"decode_err" ~size ~domains (fun () ->
             Erasure.Mds.decode ~domains code dirty) ]
   in
-  (* incremental parity maintenance: a 4 KiB patch in the middle of the
-     value; MB/s counts the patch bytes, the work the update does *)
+  (* incremental parity maintenance: a patch of up to 4 KiB in the
+     middle of the value; MB/s counts the patch bytes, the work the
+     update does. The op names the patch size and [size] stays the value
+     size, so each (value, patch) pair has its own key. *)
   let patch_len = min 4096 (max 1 (size / 4)) in
   let patch = value_of_size patch_len in
   let pos = (size - patch_len) / 2 in
   let update =
-    measure ~codec:name ~op:"update" ~size:patch_len ~domains (fun () ->
-        Erasure.Mds.update ~domains code ~fragments ~value ~pos patch)
+    measure ~codec:name
+      ~op:(Printf.sprintf "update_%dB" patch_len)
+      ~size ~bytes:patch_len ~domains
+      (fun () -> Erasure.Mds.update ~domains code ~fragments ~value ~pos patch)
   in
   (encode :: decode :: decode_err) @ [ update ]
 
@@ -180,6 +186,16 @@ let run () =
             codecs)
       sizes
   in
+  (* The perfbench workloads' shape: rs-vand[6,4] at keyspace-zipf's
+     64 B and hot-register's 1 KiB values, 17- and 257-byte sweeps —
+     the byte-table side of [Kernel.short_sweep]. In the smoke run too,
+     so CI gates the short-sweep path. *)
+  let small =
+    List.concat_map
+      (fun size ->
+        codec_points ~domains:1 (Erasure.Mds.rs_vandermonde ~n:6 ~k:4) size)
+      [ 64; 1024 ]
+  in
   (* Domain-parallel point: the largest size, vandermonde, sharded. *)
   let parallel =
     if !smoke then []
@@ -189,4 +205,4 @@ let run () =
       if domains < 2 then []
       else codec_points ~domains (Erasure.Mds.rs_vandermonde ~n ~k) size
   in
-  emit (points @ parallel)
+  emit (small @ points @ parallel)

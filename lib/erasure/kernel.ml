@@ -194,9 +194,11 @@ let merge_cols_sub ~k ~bps ~bufs ~offs ~col_len ~lo ~len ~dst ~doff =
    later one an 8-byte-wide xor, and an all-zero row zero-fills (dst
    buffers come from Bytes.create, whose contents are unspecified). The
    word-sliced chunk-table sweeps move 8 bytes per load and win on long
-   sweeps with few coefficients; the 256-entry tables stay in L1 and win
-   once many coefficients share the cache with a large heap. Offsets and
-   [len] are bytes; the field sweeps validate their own ranges. *)
+   sweeps with few coefficients on a quiet heap; the 256-entry tables
+   stay in L1 and win once many coefficients share the cache with a
+   large heap — GF(2^8) rows on them take the fused sweep below instead.
+   Offsets and [len] are bytes; the field sweeps validate their own
+   ranges. *)
 
 let apply_terms ~fname ~mul ~muladd ~coeffs ~tables ~srcs ~soffs ~dst ~doff
     ~off ~len =
@@ -236,9 +238,155 @@ let apply_row_v ~coeffs ~wtables ~srcs ~soffs ~dst ~doff ~off ~len =
     ~muladd:Gf.muladd_buf_w ~coeffs ~tables:wtables ~srcs ~soffs ~dst ~doff
     ~off ~len
 
+(* ------------------------------------------------------------------ *)
+(* Fused GF(2^8) byte-table rows.
+
+   [apply_row8_v] folds up to four non-zero, non-unit terms into each
+   pass over dst, so dst is loaded and stored once per four terms
+   instead of once per term; the four 256-entry tables together take
+   1 KiB and stay in L1. Unit terms keep their word-wide paths (a
+   leading one is a blit, later ones an xor), zero terms are skipped
+   and an all-zero row zero-fills. Field addition is xor, so the
+   grouping leaves every output byte as the per-term sweeps left it. *)
+
+let[@inline] [@lint.allow
+               "U1: only fused8 calls it, on indices and tables \
+                apply_row8_v has checked"] prod table src i =
+  Char.code (Bytes.unsafe_get table (Char.code (Bytes.unsafe_get src i)))
+
+(* One pass over [len] bytes of dst at [doff], folding the terms at
+   indices [a] and [b] and — when [c] / [d] are not -1 — [c] and [d]
+   ([d] only with [c]). [add] xors into dst instead of overwriting
+   it. *)
+let[@lint.allow
+     "U1: apply_row8_v checks every table for 256 entries and every \
+      source and dst range for [off, off+len) before its first pass"]
+    fused8 ~add ~tables ~srcs ~soffs ~off ~dst ~doff ~len a b c d =
+  (* the loops index dst; [o*] is each source's offset from it *)
+  let ta = tables.(a) and sa = srcs.(a) and oa = soffs.(a) + off - doff in
+  let tb = tables.(b) and sb = srcs.(b) and ob = soffs.(b) + off - doff in
+  (* [add] is tested outside the loops: a test per byte cost ~10%;
+     local helper closures would allocate on every call *)
+  if c < 0 then
+    if add then
+      for i = doff to doff + len - 1 do
+        let p = prod ta sa (oa + i) lxor prod tb sb (ob + i) in
+        Bytes.unsafe_set dst i
+          (Char.unsafe_chr (p lxor Char.code (Bytes.unsafe_get dst i)))
+      done
+    else
+      for i = doff to doff + len - 1 do
+        let p = prod ta sa (oa + i) lxor prod tb sb (ob + i) in
+        Bytes.unsafe_set dst i (Char.unsafe_chr p)
+      done
+  else begin
+    let tc = tables.(c) and sc = srcs.(c) and oc = soffs.(c) + off - doff in
+    if d < 0 then
+      if add then
+        for i = doff to doff + len - 1 do
+          let p =
+            prod ta sa (oa + i) lxor prod tb sb (ob + i)
+            lxor prod tc sc (oc + i)
+          in
+          Bytes.unsafe_set dst i
+            (Char.unsafe_chr (p lxor Char.code (Bytes.unsafe_get dst i)))
+        done
+      else
+        for i = doff to doff + len - 1 do
+          let p =
+            prod ta sa (oa + i) lxor prod tb sb (ob + i)
+            lxor prod tc sc (oc + i)
+          in
+          Bytes.unsafe_set dst i (Char.unsafe_chr p)
+        done
+    else begin
+      let td = tables.(d) and sd = srcs.(d) and od = soffs.(d) + off - doff in
+      if add then
+        for i = doff to doff + len - 1 do
+          let p =
+            prod ta sa (oa + i) lxor prod tb sb (ob + i)
+            lxor prod tc sc (oc + i) lxor prod td sd (od + i)
+          in
+          Bytes.unsafe_set dst i
+            (Char.unsafe_chr (p lxor Char.code (Bytes.unsafe_get dst i)))
+        done
+      else
+        for i = doff to doff + len - 1 do
+          let p =
+            prod ta sa (oa + i) lxor prod tb sb (ob + i)
+            lxor prod tc sc (oc + i) lxor prod td sd (od + i)
+          in
+          Bytes.unsafe_set dst i (Char.unsafe_chr p)
+        done
+    end
+  end
+
+(* The first index >= [j] whose coefficient is neither 0 nor 1, or
+   [Array.length coeffs]. *)
+let rec next_general coeffs j =
+  if j < Array.length coeffs && coeffs.(j) <= 1 then next_general coeffs (j + 1)
+  else j
+
+(* Every general term from index [j] on, four to a pass; the first pass
+   overwrites dst unless [add]. *)
+let rec fused_passes ~add ~coeffs ~tables ~srcs ~soffs ~off ~dst ~doff ~len j =
+  let terms = Array.length coeffs in
+  let a = next_general coeffs j in
+  if a < terms then begin
+    let b = next_general coeffs (a + 1) in
+    if b = terms then begin
+      let src = srcs.(a) and soff = soffs.(a) + off in
+      if add then Gf.muladd_buf_v tables.(a) ~src ~soff ~dst ~doff ~len
+      else Gf.mul_buf_v tables.(a) ~src ~soff ~dst ~doff ~len
+    end
+    else
+      let c = next_general coeffs (b + 1) in
+      let d = if c = terms then terms else next_general coeffs (c + 1) in
+      fused8 ~add ~tables ~srcs ~soffs ~off ~dst ~doff ~len a b
+        (if c = terms then -1 else c)
+        (if d = terms then -1 else d);
+      if d < terms then
+        fused_passes ~add:true ~coeffs ~tables ~srcs ~soffs ~off ~dst ~doff
+          ~len (d + 1)
+  end
+
 let apply_row8_v ~coeffs ~tables ~srcs ~soffs ~dst ~doff ~off ~len =
-  apply_terms ~fname:"Kernel.apply_row8_v" ~mul:Gf.mul_buf_v
-    ~muladd:Gf.muladd_buf_v ~coeffs ~tables ~srcs ~soffs ~dst ~doff ~off ~len
+  let fname = "Kernel.apply_row8_v" in
+  let terms = Array.length coeffs in
+  if
+    Array.length srcs <> terms
+    || Array.length tables <> terms
+    || Array.length soffs <> terms
+  then invalid_arg (fname ^ ": coefficient/source count mismatch");
+  let doff = doff + off in
+  if len < 0 || doff < 0 || doff + len > Bytes.length dst then
+    invalid_arg (fname ^ ": range outside buffers");
+  let first = ref (-1) in
+  for j = terms - 1 downto 0 do
+    let c = coeffs.(j) in
+    if c <> 0 then begin
+      let soff = soffs.(j) + off in
+      if soff < 0 || soff + len > Bytes.length srcs.(j) then
+        invalid_arg (fname ^ ": range outside buffers");
+      if c <> 1 && Bytes.length tables.(j) <> Gf.order then
+        invalid_arg (fname ^ ": table must have 256 entries");
+      first := j
+    end
+  done;
+  let first = !first in
+  if first < 0 then Bytes.fill dst doff len '\000'
+  else begin
+    let lead_unit = coeffs.(first) = 1 in
+    if lead_unit then
+      Bytes.blit srcs.(first) (soffs.(first) + off) dst doff len;
+    fused_passes ~add:lead_unit ~coeffs ~tables ~srcs ~soffs ~off ~dst ~doff
+      ~len first;
+    for j = first + 1 to terms - 1 do
+      if coeffs.(j) = 1 then
+        Galois.Wops.xor_into ~src:srcs.(j) ~soff:(soffs.(j) + off) ~dst ~doff
+          ~len
+    done
+  end
 
 let apply_row16_v ~coeffs ~tables ~srcs ~soffs ~dst ~doff ~off ~len =
   apply_terms ~fname:"Kernel.apply_row16_v" ~mul:Gf16.mul_buf_v
@@ -281,4 +429,37 @@ let parallel_rows ?(domains = 1) ?(min_chunk = default_min_chunk) ~n f =
     worker 0 ();
     List.iter Domain.join spawned;
     Array.iter (function Some e -> raise e | None -> ()) failures
+  end
+
+(* ------------------------------------------------------------------ *)
+(* Whole-matrix GF(2^8) sweeps: the table flavour follows the sweep
+   length. A chunk table is 128 KiB, so the up to n*k of them one
+   encode or decode reads stay cached only on a quiet heap; inside a
+   deployment a short sweep meets most of its chunk-table lookups as
+   cache misses, while the 256-byte tables of all 256 coefficients fit
+   in L2 together. Measured (DESIGN.md "Codec kernel"): byte tables win
+   in deployments at every sweep length up to 2 KiB, chunk tables win in
+   an isolated encode/decode loop from ~128 B. 2 KiB is the crossover:
+   the longest sweep measured in a deployment that still keeps every
+   committed 16 KiB+ codec row (2049-byte sweeps and up) on chunk
+   tables. Sweeps this short never shard ([parallel_rows] needs
+   8192). *)
+
+let short_sweep = 2048
+
+let apply_rows8 ?domains ~rows ~srcs ~soffs ~dst ~doff ~len () =
+  if len < short_sweep then begin
+    for i = 0 to Array.length rows - 1 do
+      let coeffs = rows.(i) in
+      apply_row8_v ~coeffs ~tables:(Array.map Gf.mul_table coeffs) ~srcs ~soffs
+        ~dst ~doff:(doff + (i * len)) ~off:0 ~len
+    done
+  end
+  else begin
+    let wtables = Array.map row_wtables rows in
+    parallel_rows ?domains ~n:len (fun ~lo ~len:l ->
+        for i = 0 to Array.length rows - 1 do
+          apply_row_v ~coeffs:rows.(i) ~wtables:wtables.(i) ~srcs ~soffs ~dst
+            ~doff:(doff + (i * len)) ~off:lo ~len:l
+        done)
   end

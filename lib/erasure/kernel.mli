@@ -97,25 +97,6 @@ val merge_cols_sub :
     materializing the framed buffer.
     @raise Invalid_argument on ragged views or out-of-range spans. *)
 
-val apply_row_v :
-  coeffs:Galois.Gf.t array ->
-  wtables:wtable array ->
-  srcs:Bytes.t array ->
-  soffs:int array ->
-  dst:Bytes.t ->
-  doff:int ->
-  off:int ->
-  len:int ->
-  unit
-(** View-aware word-sliced row application:
-    [dst.[doff+off+i] <- sum_j coeffs.(j) * srcs.(j).[soffs.(j)+off+i]]
-    for [i] in [0, len). [wtables] must be [row_wtables coeffs]
-    (prebuilt by the caller, keeping table construction out of
-    {!parallel_rows} shards). Zero coefficients are skipped, a leading
-    unit is a blit, a trailing unit an 8-byte-wide xor, and an all-zero
-    row zero-fills. Sources and destination may be views into shared
-    backing buffers. *)
-
 val apply_row8_v :
   coeffs:Galois.Gf.t array ->
   tables:table array ->
@@ -126,11 +107,18 @@ val apply_row8_v :
   off:int ->
   len:int ->
   unit
-(** {!apply_row_v} on 256-entry product tables ([tables.(j) =
-    mul_table coeffs.(j)]) instead of chunk tables. Every table stays in
-    L1, so it is the faster sweep once the codec shares the cache with a
-    large heap and many coefficients (the BCH codec's solve-and-check
-    decode and its encode). *)
+(** View-aware GF(2{^8}) row application on 256-entry product tables
+    ([tables.(j) = mul_table coeffs.(j)]):
+    [dst.[doff+off+i] <- sum_j coeffs.(j) * srcs.(j).[soffs.(j)+off+i]]
+    for [i] in [0, len). Each pass over dst folds up to four non-zero,
+    non-unit terms (all four tables stay in L1); zero coefficients are
+    skipped, a leading unit is a blit, a later unit an 8-byte-wide xor,
+    and an all-zero row zero-fills. The output is byte-identical to one
+    sweep per term. Sources and destination may be views into shared
+    backing buffers, but dst must not overlap a source range.
+    Allocates nothing. The faster sweep once the codec shares the cache
+    with a large heap and many coefficients: the BCH codec's encode and
+    solve-and-check decode, and every short sweep of {!apply_rows8}. *)
 
 val apply_row16_v :
   coeffs:Galois.Gf16.t array ->
@@ -160,6 +148,30 @@ val apply_row16_w :
 (** View-aware GF(2{^16}) row application on chunk tables (8 bytes per
     load); offsets and [len] in bytes ([len] even). For reused
     coefficient sets (generator rows) and long sweeps. *)
+
+val apply_rows8 :
+  ?domains:int ->
+  rows:Galois.Gf.t array array ->
+  srcs:Bytes.t array ->
+  soffs:int array ->
+  dst:Bytes.t ->
+  doff:int ->
+  len:int ->
+  unit ->
+  unit
+(** [apply_rows8 ~rows ~srcs ~soffs ~dst ~doff ~len ()] applies every
+    row of a coefficient matrix over [len] bytes of the sources; row
+    [i]'s result fills
+    [dst.[doff + i*len .. doff + (i+1)*len)]. The table flavour follows
+    the sweep length: below {!short_sweep} bytes the rows run on
+    256-entry tables ({!apply_row8_v}), from it on chunk tables,
+    sharded over [domains]. The rs-vand and rs-sys encode and decode
+    sweeps go through here. *)
+
+val short_sweep : int
+(** The crossover sweep length, 2048 bytes: {!apply_rows8} uses chunk
+    tables from it on. See DESIGN.md "Codec kernel" for the
+    measurements behind it. *)
 
 val parallel_rows :
   ?domains:int -> ?min_chunk:int -> n:int -> (lo:int -> len:int -> unit) -> unit

@@ -1,6 +1,11 @@
 module Matrix = Galois.Matrix
 
-type t = { n : int; k : int; generator : Matrix.t }
+type t = {
+  n : int;
+  k : int;
+  generator : Matrix.t;
+  parity_rows : Galois.Gf.t array array  (* generator rows k .. n-1 *)
+}
 
 exception Insufficient_fragments of { needed : int; got : int }
 
@@ -12,7 +17,8 @@ let make ~n ~k =
   let top = Matrix.select_rows vandermonde (Array.init k (fun i -> i)) in
   (* top is square Vandermonde with distinct points: always invertible *)
   let generator = Matrix.mul vandermonde (Matrix.invert top) in
-  { n; k; generator }
+  let parity_rows = Array.init (n - k) (fun i -> Matrix.row generator (k + i)) in
+  { n; k; generator; parity_rows }
 
 let n t = t.n
 let k t = t.k
@@ -29,18 +35,8 @@ let encode ?domains t value =
   Kernel.split_cols_into ~k:t.k ~bps:1 framed ~dst:backing ~doff:0;
   let srcs = Array.make t.k backing in
   let soffs = Array.init t.k (fun j -> j * stripes) in
-  let parity_rows =
-    Array.init (t.n - t.k) (fun i -> Matrix.row t.generator (t.k + i))
-  in
-  let wtables = Array.map Kernel.row_wtables parity_rows in
-  Kernel.parallel_rows ?domains ~n:stripes (fun ~lo ~len ->
-      Array.iteri
-        (fun i coeffs ->
-          Kernel.apply_row_v ~coeffs ~wtables:wtables.(i) ~srcs ~soffs
-            ~dst:backing
-            ~doff:((t.k + i) * stripes)
-            ~off:lo ~len)
-        parity_rows);
+  Kernel.apply_rows8 ?domains ~rows:t.parity_rows ~srcs ~soffs ~dst:backing
+    ~doff:(t.k * stripes) ~len:stripes ();
   Array.init t.n (fun i ->
       Fragment.view ~index:i ~buf:backing ~off:(i * stripes) ~len:stripes)
 
@@ -95,15 +91,11 @@ let decode ?domains t frags =
     let sub = Matrix.select_rows t.generator indices in
     let inverse = Matrix.invert sub in
     let inv_rows = Array.init t.k (Matrix.row inverse) in
-    let wtables = Array.map Kernel.row_wtables inv_rows in
     let srcs = Array.map Fragment.buf selected in
     let soffs = Array.map Fragment.off selected in
     let cols_buf = Bytes.create (t.k * stripes) in
-    Kernel.parallel_rows ?domains ~n:stripes (fun ~lo ~len ->
-        for j = 0 to t.k - 1 do
-          Kernel.apply_row_v ~coeffs:inv_rows.(j) ~wtables:wtables.(j) ~srcs
-            ~soffs ~dst:cols_buf ~doff:(j * stripes) ~off:lo ~len
-        done);
+    Kernel.apply_rows8 ?domains ~rows:inv_rows ~srcs ~soffs ~dst:cols_buf
+      ~doff:0 ~len:stripes ();
     let bufs = Array.make t.k cols_buf in
     let offs = Array.init t.k (fun j -> j * stripes) in
     Splitter.extract ~k:t.k ~bps:1 ~bufs ~offs ~col_len:stripes

@@ -1,4 +1,9 @@
-type t = { n : int; k : int; generator : Galois.Matrix.t }
+type t = {
+  n : int;
+  k : int;
+  generator : Galois.Matrix.t;
+  rows : Galois.Gf.t array array  (* the generator's rows *)
+}
 
 exception Insufficient_fragments of { needed : int; got : int }
 
@@ -6,20 +11,21 @@ let make ~n ~k =
   if k < 1 || k > n || n > 255 then
     invalid_arg
       (Printf.sprintf "Rs_vandermonde.make: invalid parameters n=%d k=%d" n k);
-  { n; k; generator = Galois.Matrix.vandermonde ~rows:n ~cols:k }
+  let generator = Galois.Matrix.vandermonde ~rows:n ~cols:k in
+  { n; k; generator; rows = Array.init n (Galois.Matrix.row generator) }
 
 let n t = t.n
 let k t = t.k
 
 (* Row-major encode into a single backing buffer: the framed value is
-   transposed into k column-contiguous scratch columns at the front of
-   nothing — columns live in their own buffer since every output row
-   reads all of them — and each coded fragment is one table-driven
-   word-sliced sweep per non-zero generator coefficient, written
-   directly into its slice of the shared backing. Fragments are views
-   into the backing, so an encode allocates one payload buffer total
-   (see DESIGN.md "Word-sliced kernels & zero-copy framing"). Large
-   values shard the stripe range across domains. *)
+   transposed into k column-contiguous scratch columns (their own
+   buffer, since every output row reads all of them), and each coded
+   fragment is one row sweep of the generator ([Kernel.apply_rows8],
+   byte or chunk tables by fragment size), written directly into its
+   slice of the shared backing. Fragments are views into the backing,
+   so an encode allocates one payload buffer total (see DESIGN.md
+   "Word-sliced kernels & zero-copy framing"). Large values shard the
+   stripe range across domains. *)
 let encode ?domains t value =
   let framed = Splitter.frame ~k:t.k value in
   let stripes = Bytes.length framed / t.k in
@@ -28,13 +34,8 @@ let encode ?domains t value =
   let srcs = Array.make t.k cols_buf in
   let soffs = Array.init t.k (fun j -> j * stripes) in
   let backing = Bytes.create (t.n * stripes) in
-  let rows = Array.init t.n (Galois.Matrix.row t.generator) in
-  let wtables = Array.map Kernel.row_wtables rows in
-  Kernel.parallel_rows ?domains ~n:stripes (fun ~lo ~len ->
-      for i = 0 to t.n - 1 do
-        Kernel.apply_row_v ~coeffs:rows.(i) ~wtables:wtables.(i) ~srcs ~soffs
-          ~dst:backing ~doff:(i * stripes) ~off:lo ~len
-      done);
+  Kernel.apply_rows8 ?domains ~rows:t.rows ~srcs ~soffs ~dst:backing ~doff:0
+    ~len:stripes ();
   Array.init t.n (fun i ->
       Fragment.view ~index:i ~buf:backing ~off:(i * stripes) ~len:stripes)
 
@@ -77,17 +78,13 @@ let decode ?domains t frags =
   let sub = Galois.Matrix.select_rows t.generator indices in
   let inverse = Galois.Matrix.invert sub in
   let inv_rows = Array.init t.k (Galois.Matrix.row inverse) in
-  let wtables = Array.map Kernel.row_wtables inv_rows in
   let srcs = Array.map Fragment.buf selected in
   let soffs = Array.map Fragment.off selected in
   (* Fragment payloads are already column-contiguous views; sweep the
      inverse matrix row-major into fresh columns. *)
   let cols_buf = Bytes.create (t.k * stripes) in
-  Kernel.parallel_rows ?domains ~n:stripes (fun ~lo ~len ->
-      for j = 0 to t.k - 1 do
-        Kernel.apply_row_v ~coeffs:inv_rows.(j) ~wtables:wtables.(j) ~srcs
-          ~soffs ~dst:cols_buf ~doff:(j * stripes) ~off:lo ~len
-      done);
+  Kernel.apply_rows8 ?domains ~rows:inv_rows ~srcs ~soffs ~dst:cols_buf
+    ~doff:0 ~len:stripes ();
   let bufs = Array.make t.k cols_buf in
   let offs = Array.init t.k (fun j -> j * stripes) in
   Splitter.extract ~k:t.k ~bps:1 ~bufs ~offs ~col_len:stripes
@@ -98,5 +95,5 @@ let decode ?domains t frags =
    field arithmetic; everything else is one backing blit. *)
 let update ?domains t ~fragments ~value ~pos patch =
   Rs_update.update ?domains ~n:t.n ~k:t.k
-    ~rows:(Array.init t.n (Galois.Matrix.row t.generator))
+    ~rows:t.rows
     ~fragments ~value ~pos patch

@@ -40,7 +40,7 @@ module type S = sig
     unit
   (** [dst.[doff+off ..] <- sum_j coeffs.(j) * srcs.(j).[soffs.(j)+off ..]]
       over [len] bytes ([off]/[len] whole symbols); see
-      {!Kernel.apply_row_v}. *)
+      {!Kernel.apply_row8_v}. *)
 
   val update :
     ?domains:int ->

@@ -224,7 +224,7 @@ let linearizable_by_value ~initial_value records =
        packs into the int-keyed table without allocation: the set (at
        most 62 bits) keys the table, and the visited last-write indices
        ([current + 1], in [0, 62]) form the bitmask value. *)
-    let visited = Int_tbl.Map.create ~dummy:0 1024 in
+    let visited = Int_tbl.Map.create 1024 in
     let full = (1 lsl m) - 1 in
     let rec go set current =
       if set = full then true

@@ -38,7 +38,7 @@ type t = { windows : window Int_tbl.Map.t; absent : window }
 
 let create () =
   let absent = { lo = -1; base = 0; bits = 0; over = None } in
-  { windows = Int_tbl.Map.create ~dummy:absent 4; absent }
+  { windows = Int_tbl.Map.create 4; absent }
 
 let reset t = Int_tbl.Map.reset t.windows
 

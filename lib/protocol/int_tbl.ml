@@ -103,29 +103,24 @@ module Set = struct
   let iter f t = Array.iter (fun k -> if k >= 0 then f k) t.keys
 end
 
-(* Same scheme with a parallel value array. The dummy passed at
-   [create] pads unused value slots (the generic interface has no other
-   way to initialise them); it is never returned for a present key. *)
+(* Same scheme with a parallel value array, allocated at the first
+   insertion and padded with that first value (the generic interface
+   has no other way to fill the unused slots). Lookups read a value
+   slot only where [keys] holds the key, so a pad is never returned. *)
 module Map = struct
   type 'a t = {
     mutable keys : int array;
-    mutable vals : 'a array;
-    dummy : 'a;
+    mutable vals : 'a array;  (* [||] until the first insertion *)
     mutable size : int;
     mutable mask : int
   }
 
-  let create ~dummy capacity =
+  let create capacity =
     let cap = ref 16 in
     while !cap < 2 * capacity do
       cap := !cap * 2
     done;
-    { keys = Array.make !cap (-1);
-      vals = Array.make !cap dummy;
-      dummy;
-      size = 0;
-      mask = !cap - 1
-    }
+    { keys = Array.make !cap (-1); vals = [||]; size = 0; mask = !cap - 1 }
 
   let length t = t.size
 
@@ -139,15 +134,19 @@ module Map = struct
     let i = probe t.keys t.mask (slot_of key t.mask) key in
     if i >= 0 then Some (Array.unsafe_get t.vals i) else None
 
+  let find_exn t key =
+    let i = probe t.keys t.mask (slot_of key t.mask) key in
+    if i >= 0 then Array.unsafe_get t.vals i else raise_notrace Not_found
+
   let find t key ~default =
     let i = probe t.keys t.mask (slot_of key t.mask) key in
     if i >= 0 then Array.unsafe_get t.vals i else default
 
-  let grow t =
+  let grow t ~pad =
     let okeys = t.keys and ovals = t.vals in
     let cap = 2 * Array.length okeys in
     t.keys <- Array.make cap (-1);
-    t.vals <- Array.make cap t.dummy;
+    t.vals <- Array.make cap pad;
     t.mask <- cap - 1;
     Array.iteri
       (fun j k ->
@@ -164,15 +163,19 @@ module Map = struct
     if i >= 0 then t.vals.(i) <- v
     else begin
       let i = lnot i in
+      if Array.length t.vals = 0 then
+        t.vals <- Array.make (Array.length t.keys) v;
       t.keys.(i) <- key;
       t.vals.(i) <- v;
       t.size <- t.size + 1;
-      if 2 * t.size > Array.length t.keys then grow t
+      if 2 * t.size > Array.length t.keys then grow t ~pad:v
     end
 
+  (* Dropping the value array releases every stored value (and pad)
+     to the GC; the next insertion allocates a fresh one. *)
   let reset t =
     Array.fill t.keys 0 (Array.length t.keys) (-1);
-    Array.fill t.vals 0 (Array.length t.vals) t.dummy;
+    t.vals <- [||];
     t.size <- 0
 
   let fold f t acc =

@@ -39,20 +39,28 @@ end
 module Map : sig
   type 'a t
 
-  val create : dummy:'a -> int -> 'a t
-  (** [dummy] pads unused value slots; it is never returned for a
-      present key. *)
+  val create : int -> 'a t
+  (** [create capacity] sizes the table for [capacity] keys without
+      growing. The value array is allocated at the first insertion. *)
 
   val replace : 'a t -> int -> 'a -> unit
   (** Insert or overwrite. @raise Invalid_argument on a negative key. *)
 
   val find_opt : 'a t -> int -> 'a option
 
+  val find_exn : 'a t -> int -> 'a
+  (** The value bound to the key, allocation-free.
+      @raise Not_found when absent (without a backtrace). *)
+
   val find : 'a t -> int -> default:'a -> 'a
   (** [find t key ~default] is the value bound to [key], or [default]
       when absent — unlike {!find_opt}, allocation-free. *)
 
   val length : 'a t -> int
+
   val reset : 'a t -> unit
+  (** Remove every key, retaining the key array's capacity and
+      releasing every stored value. *)
+
   val fold : (int -> 'a -> 'b -> 'b) -> 'a t -> 'b -> 'b
 end

@@ -1,24 +1,39 @@
 module Fragment = Erasure.Fragment
 module Tag = Protocol.Tag
 
-(* FNV-1a (32-bit) over the payload view, mixed with the fragment index
-   so a fragment swapped for another coordinate's bytes also fails
-   verification. Pure integer arithmetic: checksumming draws no
-   randomness and sends nothing, so enabling it never perturbs a
-   simulation trace. *)
-let fnv_prime = 0x01000193
-let fnv_basis = 0x811c9dc5
-let mask = 0xFFFFFFFF
+(* A word-wide multiplicative hash of the payload view, mixed with the
+   fragment index (so a fragment swapped for another coordinate's bytes
+   also fails verification) and the length. Each 8-byte word splits
+   into two 32-bit halves, since an OCaml int holds only 63 bits; each
+   half goes through its own lane, [h <- (h xor half) * odd], and the
+   < 8 tail bytes through the low lane. A step is a bijection in [h]
+   for a fixed half and injective in the half for a fixed [h], and the
+   final mix is a bijection in each lane, so flipping any single bit of
+   the payload always changes the checksum. Pure integer arithmetic:
+   checksumming draws no randomness and sends nothing, so enabling it
+   never perturbs a simulation trace. *)
+let mul_lo = 0x1fd3eca2d2b1ba6d
+let mul_hi = 0x2545f4914f6cdd1d
 
 let checksum fragment =
   let buf = Fragment.buf fragment
   and off = Fragment.off fragment
   and len = Fragment.size fragment in
-  let h = ref ((fnv_basis lxor Fragment.index fragment) land mask) in
-  for i = off to off + len - 1 do
-    h := (!h lxor Char.code (Bytes.get buf i)) * fnv_prime land mask
+  let lo = ref ((0x811c9dc5 lxor Fragment.index fragment) * mul_lo) in
+  let hi = ref ((0x01000193 lxor len) * mul_hi) in
+  let words = len / 8 in
+  for w = 0 to words - 1 do
+    let x = Bytes.get_int64_le buf (off + (8 * w)) in
+    lo := (!lo lxor (Int64.to_int x land 0xFFFF_FFFF)) * mul_lo;
+    hi := (!hi lxor Int64.to_int (Int64.shift_right_logical x 32)) * mul_hi
   done;
-  !h
+  let tail = ref 0 in
+  for i = off + len - 1 downto off + (8 * words) do
+    tail := (!tail lsl 8) lor Char.code (Bytes.get buf i)
+  done;
+  let h = ((!lo lxor !tail) * mul_lo) lxor (!hi * mul_lo) in
+  let h = (h lxor (h lsr 29)) * mul_hi in
+  h lxor (h lsr 32)
 
 type t = {
   mutable tag : Tag.t;

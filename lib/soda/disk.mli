@@ -48,4 +48,5 @@ val rot : t -> seed:int -> unit
     {e without} updating the checksum (see {!Fragment.corrupt}). *)
 
 val checksum : Fragment.t -> int
-(** The FNV-1a payload checksum, exposed for tests. *)
+(** The payload checksum (word-wide; any single flipped payload bit
+    changes it), exposed for tests. *)

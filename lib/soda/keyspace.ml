@@ -4,6 +4,7 @@ module History = Protocol.History
 module Cost = Protocol.Cost
 module Probe = Protocol.Probe
 module Atomicity = Protocol.Atomicity
+module Int_tbl = Protocol.Int_tbl
 
 (* One logical key's [n,k] SODA instance: a derived configuration, the
    per-coordinate server automata, and the physical placement. *)
@@ -30,22 +31,26 @@ type outbox = {
 (* Buffered client-bound relays for one destination pid. *)
 type relay_box = { mutable items : (int * Messages.t) list; mutable rarmed : bool }
 
-(* The shared-plane state of one physical server process. *)
+(* The shared-plane state of one physical server process. The per-pid
+   tables are arrays indexed by pid: [Engine.reserve] numbers pids
+   densely from 0, and every pid this plane sends to (the fleet's
+   servers and the keyspace's clients) is reserved before the arrays
+   are sized, in [create]. *)
 type plane = {
   p_pid : int;
   (* key -> this server's automaton for that key's instance *)
-  p_states : (int, Server.t) Hashtbl.t;
+  p_states : Server.t Int_tbl.Map.t;
   (* dst pid -> pending cross-key gossip *)
-  p_outbox : (int, outbox) Hashtbl.t;
+  p_outbox : outbox array;
   (* dst client pid -> buffered relays across keys *)
-  p_relay : (int, relay_box) Hashtbl.t
+  p_relay : relay_box array
 }
 
 (* A client process: one pid, one protocol lane per key it has touched.
    Lanes are independent SODA clients, so one process can have
    operations in flight on many keys at once — well-formedness is per
    (client, key). *)
-type 'lane client = { c_pid : int; c_lanes : (int, 'lane) Hashtbl.t }
+type 'lane client = { c_pid : int; c_lanes : 'lane Int_tbl.Map.t }
 
 type t = {
   engine : Messages.t Engine.t;
@@ -53,7 +58,9 @@ type t = {
   template : Config.t;
   server_pids : int array;
   planes : plane array;
-  plane_of_pid : (int, plane) Hashtbl.t;
+  (* pid -> its plane; [None] for clients (pids reserved after the
+     keyspace lie past the end) *)
+  plane_of_pid : plane option array;
   writer_clients : Writer.t client array;
   reader_clients : Reader.t client array;
   instances : (int, instance) Hashtbl.t;
@@ -66,34 +73,36 @@ type t = {
 
 let repair_op_base = 1_000_000
 
+let plane_of t pid =
+  if pid < Array.length t.plane_of_pid then t.plane_of_pid.(pid) else None
+
 (* ------------------------------------------------------------------ *)
 (* Shared-plane outboxes *)
 
-let outbox_for plane ~dst =
-  match Hashtbl.find_opt plane.p_outbox dst with
-  | Some box -> box
-  | None ->
-    let box = { entries = []; armed = false } in
-    Hashtbl.replace plane.p_outbox dst box;
-    box
-
 let entry_live plane ((_, ke) : float * Messages.keyed_entry) =
-  match Hashtbl.find_opt plane.p_states ke.Messages.ke_key with
-  | Some state -> Server.gossip_live state ke.Messages.ke_entry
-  | None -> true
+  match Int_tbl.Map.find_exn plane.p_states ke.Messages.ke_key with
+  | state -> Server.gossip_live state ke.Messages.ke_entry
+  | exception Not_found -> true
 
-(* Drain [dst]'s cross-key outbox, dropping entries whose read has
-   already completed at the enqueuing instance's local server, in
-   enqueue order. *)
+(* The live entries of a pending list, without their enqueue times, in
+   the list's own order (newest first). *)
+let[@tail_mod_cons] rec live_entries plane = function
+  | [] -> []
+  | ((_, ke) as e) :: rest ->
+    if entry_live plane e then ke :: live_entries plane rest
+    else live_entries plane rest
+
+(* Drain [dst]'s cross-key outbox for a piggyback, dropping entries
+   whose read has already completed at the enqueuing instance's local
+   server. The result is newest first — the reverse of the
+   oldest-first order [flush_outbox] ships a standalone frame in. *)
 let take_outbox plane ~dst =
-  match Hashtbl.find_opt plane.p_outbox dst with
-  | None -> []
-  | Some box ->
-    (match box.entries with
-    | [] -> []
-    | pending ->
-      box.entries <- [];
-      List.rev_map snd (List.filter (entry_live plane) pending) |> List.rev)
+  let box = plane.p_outbox.(dst) in
+  match box.entries with
+  | [] -> []
+  | pending ->
+    box.entries <- [];
+    live_entries plane pending
 
 (* Bounded-staleness flush of one destination's cross-key outbox. The
    pooled box holds entries of many ages, so the timer only forces a
@@ -103,41 +112,37 @@ let take_outbox plane ~dst =
    than a per-key outbox would have. Most entries die (their read
    completes) before aging out, exactly as in a single-register plane. *)
 let rec flush_outbox ~staleness plane ctx ~dst =
-  match Hashtbl.find_opt plane.p_outbox dst with
-  | None -> ()
-  | Some box -> (
-    box.armed <- false;
-    let live = List.filter (entry_live plane) box.entries in
-    box.entries <- live;
-    match List.rev live with
-    | [] -> ()
-    | (oldest, _) :: _ as in_order ->
-      let now = Engine.now_ctx ctx in
-      if now -. oldest +. 1e-9 >= staleness then begin
-        box.entries <- [];
-        Engine.send ctx ~dst
-          (Messages.Keyed_gossip { kentries = List.map snd in_order })
-      end
-      else begin
-        box.armed <- true;
-        Engine.schedule_local ctx
-          ~delay:(oldest +. staleness -. now)
-          (fun () -> flush_outbox ~staleness plane ctx ~dst)
-      end)
+  let box = plane.p_outbox.(dst) in
+  box.armed <- false;
+  let live = List.filter (entry_live plane) box.entries in
+  box.entries <- live;
+  match List.rev live with
+  | [] -> ()
+  | (oldest, _) :: _ as in_order ->
+    let now = Engine.now_ctx ctx in
+    if now -. oldest +. 1e-9 >= staleness then begin
+      box.entries <- [];
+      Engine.send ctx ~dst
+        (Messages.Keyed_gossip { kentries = List.map snd in_order })
+    end
+    else begin
+      box.armed <- true;
+      Engine.schedule_local ctx
+        ~delay:(oldest +. staleness -. now)
+        (fun () -> flush_outbox ~staleness plane ctx ~dst)
+    end
 
 let flush_relays plane ctx ~dst =
-  match Hashtbl.find_opt plane.p_relay dst with
-  | None -> ()
-  | Some box -> (
-    box.rarmed <- false;
-    match List.rev box.items with
-    | [] -> ()
-    | [ (key, msg) ] ->
-      box.items <- [];
-      Engine.send ctx ~dst (Messages.Keyed { key; msg })
-    | kitems ->
-      box.items <- [];
-      Engine.send ctx ~dst (Messages.Keyed_batch { kitems }))
+  let box = plane.p_relay.(dst) in
+  box.rarmed <- false;
+  match List.rev box.items with
+  | [] -> ()
+  | [ (key, msg) ] ->
+    box.items <- [];
+    Engine.send ctx ~dst (Messages.Keyed { key; msg })
+  | kitems ->
+    box.items <- [];
+    Engine.send ctx ~dst (Messages.Keyed_batch { kitems })
 
 let is_client_relay = function
   | Messages.Relay _ | Messages.Relay_batch _ -> true
@@ -151,39 +156,31 @@ let wire t inst =
   let staleness = t.template.Config.plane.Config.gossip_staleness in
   let relay_window = t.template.Config.plane.Config.relay_batch in
   let wire_send ctx ~dst msg =
-    let src = Engine.self ctx in
-    match Hashtbl.find_opt t.plane_of_pid src with
-    | Some plane when Hashtbl.mem t.plane_of_pid dst -> (
+    match plane_of t (Engine.self ctx) with
+    | None -> Engine.send ctx ~dst (Messages.Keyed { key; msg })
+    | Some plane when Option.is_some (plane_of t dst) -> (
       (* server -> server: piggyback whatever cross-key gossip is
          pending for the destination *)
       match take_outbox plane ~dst with
       | [] -> Engine.send ctx ~dst (Messages.Keyed { key; msg })
       | kentries ->
         Engine.send ctx ~dst (Messages.Keyed_envelope { kentries; key; msg }))
-    | Some plane when is_client_relay msg && Option.is_some relay_window ->
-      (* server -> reader data: hold for the cross-key relay window *)
-      let box =
-        match Hashtbl.find_opt plane.p_relay dst with
-        | Some box -> box
-        | None ->
-          let box = { items = []; rarmed = false } in
-          Hashtbl.replace plane.p_relay dst box;
-          box
-      in
-      box.items <- (key, msg) :: box.items;
-      if not box.rarmed then begin
-        box.rarmed <- true;
-        match relay_window with
-        | Some w ->
+    | Some plane -> (
+      match relay_window with
+      | Some w when is_client_relay msg ->
+        (* server -> reader data: hold for the cross-key relay window *)
+        let box = plane.p_relay.(dst) in
+        box.items <- (key, msg) :: box.items;
+        if not box.rarmed then begin
+          box.rarmed <- true;
           Engine.schedule_local ctx ~delay:w (fun () ->
               flush_relays plane ctx ~dst)
-        | None -> ()
-      end
-    | Some _ | None -> Engine.send ctx ~dst (Messages.Keyed { key; msg })
+        end
+      | Some _ | None -> Engine.send ctx ~dst (Messages.Keyed { key; msg }))
   in
   let wire_gossip ctx (entry : Messages.gossip_entry) =
     let src = Engine.self ctx in
-    match Hashtbl.find_opt t.plane_of_pid src with
+    match plane_of t src with
     | None -> false  (* not a shared-plane process: keep the per-key outbox *)
     | Some plane ->
       let ke = { Messages.ke_key = key; ke_entry = entry } in
@@ -191,7 +188,7 @@ let wire t inst =
       Array.iter
         (fun dst ->
           if dst <> src then begin
-            let box = outbox_for plane ~dst in
+            let box = plane.p_outbox.(dst) in
             box.entries <- (now, ke) :: box.entries;
             if not box.armed then begin
               box.armed <- true;
@@ -245,7 +242,7 @@ let instance t key =
         (fun c pid -> Engine.set_handler t.engine pid (Server.handler iservers.(c)))
         pids;
     Array.iteri
-      (fun c s -> Hashtbl.replace t.planes.(iphys.(c)).p_states key s)
+      (fun c s -> Int_tbl.Map.replace t.planes.(iphys.(c)).p_states key s)
       iservers;
     Hashtbl.replace t.instances key inst;
     t.keys_rev <- key :: t.keys_rev;
@@ -264,20 +261,20 @@ let find_instance t key =
 let apply_kentries plane ctx kentries =
   List.iter
     (fun (ke : Messages.keyed_entry) ->
-      match Hashtbl.find_opt plane.p_states ke.Messages.ke_key with
-      | Some state -> Server.apply_gossip_entry state ctx ke.Messages.ke_entry
-      | None -> ())
+      match Int_tbl.Map.find_exn plane.p_states ke.Messages.ke_key with
+      | state -> Server.apply_gossip_entry state ctx ke.Messages.ke_entry
+      | exception Not_found -> ())
     kentries
 
 let deliver_to_server t plane ctx ~src ~key msg =
   let state =
-    match Hashtbl.find_opt plane.p_states key with
-    | Some state -> state
-    | None ->
+    match Int_tbl.Map.find_exn plane.p_states key with
+    | state -> state
+    | exception Not_found ->
       (* first frame for a key this keyspace has not materialized yet
          (a client computed the placement independently) *)
       ignore (instance t key : instance);
-      Hashtbl.find plane.p_states key
+      Int_tbl.Map.find_exn plane.p_states key
   in
   Server.handler state ctx ~src msg
 
@@ -292,9 +289,10 @@ let plane_handler t plane ctx ~src msg =
 
 let client_handler lanes_handler client ctx ~src msg =
   let route key m =
-    match Hashtbl.find_opt client.c_lanes key with
-    | Some lane -> lanes_handler lane ctx ~src m
-    | None -> ()  (* reply for a lane this client never opened: stale *)
+    match Int_tbl.Map.find_exn client.c_lanes key with
+    | lane -> lanes_handler lane ctx ~src m
+    | exception Not_found ->
+      ()  (* reply for a lane this client never opened: stale *)
   in
   match msg with
   | Messages.Keyed { key; msg } -> route key msg
@@ -346,16 +344,23 @@ let create ~engine ~placement ?(mode = `Sharded) ?initial_value ?value_len
      inherits the cache entry *)
   ignore (Config.encode template template.Config.initial_value
           : Erasure.Fragment.t array);
+  (* every pid a plane addresses is reserved by now, so the per-pid
+     tables below cover it; clients are reserved last *)
+  let pids =
+    1
+    + Array.fold_left max (-1)
+        (Array.concat [ server_pids; writer_pids; reader_pids ])
+  in
   let planes =
     Array.init m (fun i ->
         { p_pid = server_pids.(i);
-          p_states = Hashtbl.create 16;
-          p_outbox = Hashtbl.create 8;
-          p_relay = Hashtbl.create 8
+          p_states = Int_tbl.Map.create 16;
+          p_outbox = Array.init pids (fun _ -> { entries = []; armed = false });
+          p_relay = Array.init pids (fun _ -> { items = []; rarmed = false })
         })
   in
-  let plane_of_pid = Hashtbl.create (2 * m) in
-  Array.iter (fun p -> Hashtbl.replace plane_of_pid p.p_pid p) planes;
+  let plane_of_pid = Array.make pids None in
+  Array.iter (fun p -> plane_of_pid.(p.p_pid) <- Some p) planes;
   let t =
     { engine;
       placement;
@@ -364,9 +369,9 @@ let create ~engine ~placement ?(mode = `Sharded) ?initial_value ?value_len
       planes;
       plane_of_pid;
       writer_clients =
-        Array.map (fun pid -> { c_pid = pid; c_lanes = Hashtbl.create 8 }) writer_pids;
+        Array.map (fun pid -> { c_pid = pid; c_lanes = Int_tbl.Map.create 8 }) writer_pids;
       reader_clients =
-        Array.map (fun pid -> { c_pid = pid; c_lanes = Hashtbl.create 8 }) reader_pids;
+        Array.map (fun pid -> { c_pid = pid; c_lanes = Int_tbl.Map.create 8 }) reader_pids;
       instances = Hashtbl.create 64;
       keys_rev = [];
       keyed = (match mode with `Sharded -> true | `Single -> false)
@@ -395,13 +400,13 @@ let create ~engine ~placement ?(mode = `Sharded) ?initial_value ?value_len
     Array.iter
       (fun client ->
         let lane = Writer.create inst.iconfig in
-        Hashtbl.replace client.c_lanes 0 lane;
+        Int_tbl.Map.replace client.c_lanes 0 lane;
         Engine.set_handler engine client.c_pid (Writer.handler lane))
       t.writer_clients;
     Array.iter
       (fun client ->
         let lane = Reader.create inst.iconfig in
-        Hashtbl.replace client.c_lanes 0 lane;
+        Int_tbl.Map.replace client.c_lanes 0 lane;
         Engine.set_handler engine client.c_pid (Reader.handler lane))
       t.reader_clients);
   t
@@ -410,21 +415,21 @@ let create ~engine ~placement ?(mode = `Sharded) ?initial_value ?value_len
 (* Operations *)
 
 let writer_lane t client key =
-  match Hashtbl.find_opt client.c_lanes key with
-  | Some lane -> lane
-  | None ->
+  match Int_tbl.Map.find_exn client.c_lanes key with
+  | lane -> lane
+  | exception Not_found ->
     let inst = instance t key in
     let lane = Writer.create inst.iconfig in
-    Hashtbl.replace client.c_lanes key lane;
+    Int_tbl.Map.replace client.c_lanes key lane;
     lane
 
 let reader_lane t client key =
-  match Hashtbl.find_opt client.c_lanes key with
-  | Some lane -> lane
-  | None ->
+  match Int_tbl.Map.find_exn client.c_lanes key with
+  | lane -> lane
+  | exception Not_found ->
     let inst = instance t key in
     let lane = Reader.create inst.iconfig in
-    Hashtbl.replace client.c_lanes key lane;
+    Int_tbl.Map.replace client.c_lanes key lane;
     lane
 
 let write t ~key ~writer ~at ?on_done value =
@@ -525,10 +530,10 @@ let crash_server t ~server ~at =
 
 (* Keys hosted by one physical server, ascending — the deterministic
    order repairs and corruptions sweep in. *)
-let[@lint.allow
-     "D3: the fold's arbitrary order is erased by the sort before the \
-      list can reach a caller"] hosted_keys t ~server =
-  let keys = Hashtbl.fold (fun key _ acc -> key :: acc) t.planes.(server).p_states [] in
+let hosted_keys t ~server =
+  let keys =
+    Int_tbl.Map.fold (fun key _ acc -> key :: acc) t.planes.(server).p_states []
+  in
   List.sort Int.compare keys
 
 let coordinate_on inst ~server =
@@ -547,8 +552,8 @@ let repair_server t ~server ~at =
       (* the crash lost every armed flush timer with its closures;
          pending outbox/relay state is volatile and starts empty *)
       let plane = t.planes.(server) in
-      Hashtbl.reset plane.p_outbox;
-      Hashtbl.reset plane.p_relay;
+      Array.iter (fun box -> box.entries <- []; box.armed <- false) plane.p_outbox;
+      Array.iter (fun box -> box.items <- []; box.rarmed <- false) plane.p_relay;
       List.iter
         (fun key ->
           let inst = Hashtbl.find t.instances key in

@@ -153,17 +153,11 @@ let[@lint.allow
 
 let md_dedup t = t.md_delivered
 
-(* Pads the value slots of every H row. *)
-let[@lint.allow
-     "R1: never mutated — a map's dummy is never returned for a present \
-      key, and [h_add] gives each new tag a fresh set"] no_coords =
-  Int_tbl.Set.create 0
-
 let h_tags t rid =
   match Hashtbl.find_opt t.h rid with
   | Some tags -> tags
   | None ->
-    let tags = Int_tbl.Map.create ~dummy:no_coords 8 in
+    let tags = Int_tbl.Map.create 8 in
     Hashtbl.add t.h rid tags;
     tags
 

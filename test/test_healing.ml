@@ -71,7 +71,30 @@ let disk_tests =
         let f = Fragment.make ~index ~data in
         Disk.checksum f = Disk.checksum f
         && (Bytes.length data = 0
-           || Disk.checksum f <> Disk.checksum (Fragment.corrupt f ~seed:3)))
+           || Disk.checksum f <> Disk.checksum (Fragment.corrupt f ~seed:3)));
+    (* Exhaustive over the bits of each generated payload: every word's
+       top bit (bit 63, which an OCaml int cannot hold) and, for sizes
+       that are not a multiple of 8, every tail bit. The payload is a
+       view at an offset, as the codecs hand fragments out. *)
+    qtest ~count:150 "checksum changes on every single-bit flip"
+      QCheck2.Gen.(
+        triple
+          (oneof [ int_range 1 70; map (fun w -> 8 * w) (int_range 1 8) ]
+          >>= fun len -> string_size (return len) >|= Bytes.of_string)
+          (int_range 0 9) (int_range 0 20))
+      (fun (data, pad, index) ->
+        let len = Bytes.length data in
+        let buf = Bytes.cat (Bytes.make pad '\xa5') data in
+        let sum = Disk.checksum (Fragment.view ~index ~buf ~off:pad ~len) in
+        List.for_all
+          (fun bit ->
+            let flipped = Bytes.copy buf in
+            let i = pad + (bit / 8) in
+            Bytes.set flipped i
+              (Char.chr (Char.code (Bytes.get buf i) lxor (1 lsl (bit mod 8))));
+            Disk.checksum (Fragment.view ~index ~buf:flipped ~off:pad ~len)
+            <> sum)
+          (List.init (8 * len) Fun.id))
   ]
 
 (* ------------------------------------------------------------------ *)

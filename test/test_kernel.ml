@@ -807,6 +807,125 @@ let parallel_tests =
         check (Erasure.Mds.rs16 ~n:6 ~k:4))
   ]
 
+(* ------------------------------------------------------------------ *)
+(* Fused GF(2^8) rows: [Kernel.apply_row8_v] folds up to four terms per
+   pass over dst. The oracle is the one-sweep-per-term loop it
+   replaced, copied here. *)
+
+let per_term_row8 ~coeffs ~tables ~srcs ~soffs ~dst ~doff ~off ~len =
+  let first = ref true in
+  for j = 0 to Array.length coeffs - 1 do
+    let c = coeffs.(j) in
+    if c <> 0 then begin
+      let src = srcs.(j) and soff = soffs.(j) + off in
+      let doff = doff + off in
+      if !first then
+        if c = 1 then Bytes.blit src soff dst doff len
+        else Gf.mul_buf_v tables.(j) ~src ~soff ~dst ~doff ~len
+      else if c = 1 then Galois.Wops.xor_into ~src ~soff ~dst ~doff ~len
+      else Gf.muladd_buf_v tables.(j) ~src ~soff ~dst ~doff ~len;
+      first := false
+    end
+  done;
+  if !first then Bytes.fill dst (doff + off) len '\000'
+
+(* (coeffs, len, soffs, doff, off, shared, seed): 0-12 terms, zero and
+   unit coefficients likely, lengths 0, 1, 7, odd and up to 5000. With
+   [shared] every source is a view into one buffer. *)
+let row8_gen =
+  QCheck2.Gen.(
+    let* terms = int_range 0 12 in
+    let* coeffs =
+      array_size (return terms)
+        (frequency [ (2, return 0); (2, return 1); (6, int_range 2 255) ])
+    in
+    let* len =
+      oneof
+        [ oneofl [ 0; 1; 7 ];
+          map (fun h -> (2 * h) + 1) (int_range 0 100);
+          int_range 0 5000
+        ]
+    in
+    let* soffs = array_size (return terms) (int_range 0 9) in
+    let* doff = int_range 0 9 in
+    let* off = int_range 0 5 in
+    let* shared = bool in
+    let* seed = int_range 0 1_000_000 in
+    return (coeffs, len, soffs, doff, off, shared, seed))
+
+let random_bytes rng len = Bytes.init len (fun _ -> Char.chr (Random.State.int rng 256))
+
+let row8_diff (coeffs, len, soffs, doff, off, shared, seed) =
+  let rng = Random.State.make [| seed |] in
+  let terms = Array.length coeffs in
+  let srcs, soffs =
+    if shared then begin
+      (* term j's view starts at its own offset within one buffer *)
+      let span = off + len + 9 in
+      let buf = random_bytes rng ((terms * span) + 1) in
+      (Array.make terms buf, Array.mapi (fun j o -> (j * span) + o) soffs)
+    end
+    else (Array.map (fun o -> random_bytes rng (o + off + len + 3)) soffs, soffs)
+  in
+  let tables = Array.map Gf.mul_table coeffs in
+  let dst0 = random_bytes rng (doff + off + len + 5) in
+  let fused = Bytes.copy dst0 and oracle = Bytes.copy dst0 in
+  Kernel.apply_row8_v ~coeffs ~tables ~srcs ~soffs ~dst:fused ~doff ~off ~len;
+  per_term_row8 ~coeffs ~tables ~srcs ~soffs ~dst:oracle ~doff ~off ~len;
+  Bytes.equal fused oracle
+
+(* Encode and decode straddling [Kernel.short_sweep], the sweep length
+   where rs-vand and rs-sys switch from byte tables to chunk tables:
+   fragments of short_sweep - 2 .. short_sweep + 1 bytes. *)
+let crossover_gen =
+  QCheck2.Gen.(
+    let* n = int_range 2 12 in
+    let* k = int_range 1 (min n 8) in
+    let* sweep = int_range (Kernel.short_sweep - 2) (Kernel.short_sweep + 1) in
+    let* slack = int_range 0 (k - 1) in
+    let* seed = int_range 0 1_000_000 in
+    let* indices = subset_gen ~n k in
+    let len = (sweep * k) - Splitter.header_len - slack in
+    return (n, k, len, seed, indices))
+
+let crossover_diff ~encode ~decode ~reference ~slow_generator
+    (n, k, len, seed, indices) =
+  let v = random_bytes (Random.State.make [| seed |]) len in
+  let frags = encode v in
+  let chosen = pick frags indices in
+  let inv =
+    SlowMatrix.invert (SlowMatrix.select_rows (slow_generator ~n ~k) indices)
+  in
+  let datas = Array.map Fragment.data (Array.of_list chosen) in
+  let framed =
+    ref_matrix_decode ~mul:Gf.mul_slow ~get:get8 ~set:set8 ~bps:1
+      (Array.init k (SlowMatrix.row inv))
+      ~k datas (Bytes.length datas.(0))
+  in
+  let decoded = decode chosen in
+  fragments_equal frags (reference ~n ~k v)
+  && Bytes.equal decoded (Splitter.unframe framed)
+  && Bytes.equal decoded v
+
+let row8_tests =
+  [ qtest ~count:600 "apply_row8_v (fused) = per-term sweeps" row8_gen row8_diff;
+    qtest ~count:12 "rs-vand encode/decode across the short-sweep crossover"
+      crossover_gen
+      (fun ((n, k, _, _, _) as case) ->
+        let code = Erasure.Rs_vandermonde.make ~n ~k in
+        crossover_diff ~encode:(Erasure.Rs_vandermonde.encode code)
+          ~decode:(Erasure.Rs_vandermonde.decode code) ~reference:ref_encode_vand
+          ~slow_generator:(fun ~n ~k -> SlowMatrix.vandermonde ~rows:n ~cols:k)
+          case);
+    qtest ~count:12 "rs-sys encode/decode across the short-sweep crossover"
+      crossover_gen
+      (fun ((n, k, _, _, _) as case) ->
+        let code = Erasure.Rs_systematic.make ~n ~k in
+        crossover_diff ~encode:(Erasure.Rs_systematic.encode code)
+          ~decode:(Erasure.Rs_systematic.decode code) ~reference:ref_encode_sys
+          ~slow_generator:slow_sys_generator case)
+  ]
+
 let () =
   Alcotest.run "kernel"
     [ ("encode-differential", encode_tests);
@@ -814,5 +933,6 @@ let () =
       ("bch-patterns", bch_tests);
       ("bch-decode-oracle", bch_decode_diff_tests);
       ("buffer-primitives", buf_tests);
+      ("fused-rows", row8_tests);
       ("parallel", parallel_tests)
     ]

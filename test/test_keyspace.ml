@@ -215,6 +215,55 @@ let shim_tests =
 (* ------------------------------------------------------------------ *)
 (* Multi-key runs *)
 
+(* A batched-plane keyspace over 12 servers on an engine that already
+   holds [before] processes, so server pids start at [before], with
+   [after] more processes reserved once the keyspace exists. Returns
+   the keyspace and its engine after the run. *)
+let run_offset ~seed ~before ~after =
+  let engine =
+    Engine.create ~seed ~delay:(Delay.uniform ~lo:0.2 ~hi:2.0) ()
+  in
+  for i = 1 to before do
+    ignore (Engine.reserve engine ~name:(Printf.sprintf "other%d" i) : int)
+  done;
+  let topology = Topology.make ~servers:12 ~domains:3 () in
+  let placement =
+    Placement.create ~topology
+      ~params:(Placement.preset_params `P4_2)
+      ~policy:Placement.Consistent_hash ()
+  in
+  let ks =
+    Keyspace.create ~engine ~placement ~plane:Soda.Config.batched_plane
+      ~value_len:64 ~num_writers:2 ~num_readers:2 ()
+  in
+  for i = 1 to after do
+    ignore (Engine.reserve engine ~name:(Printf.sprintf "late%d" i) : int)
+  done;
+  for round = 0 to 4 do
+    for key = 0 to 15 do
+      let at = (float_of_int round *. 20.0) +. (float_of_int key *. 0.3) in
+      Keyspace.write ks ~key ~writer:(key mod 2) ~at
+        (Harness.Workload.value ~len:64 ~seed ~index:((round * 16) + key));
+      Keyspace.read ks ~key ~reader:(key mod 2) ~at:(at +. 9.0) ()
+    done
+  done;
+  Engine.run engine;
+  (ks, engine)
+
+let offset_tests =
+  [ qtest ~count:10 "server pids need not start at 0"
+      QCheck2.Gen.(triple (int_range 0 100_000) (int_range 1 7) (int_range 0 3))
+      (fun (seed, before, after) ->
+        let ks, engine = run_offset ~seed ~before ~after in
+        let _, base = run_offset ~seed ~before:0 ~after:0 in
+        Keyspace.server_pid ks ~server:0 = before
+        && Keyspace.all_complete ks
+        && Keyspace.check_atomicity ks = Ok ()
+        (* the same traffic as the keyspace whose pids start at 0 *)
+        && Engine.messages_sent engine = Engine.messages_sent base
+        && Engine.now engine = Engine.now base)
+  ]
+
 let sharded_tests =
   [ qtest ~count:20 "sharded runs are live and atomic per key"
       QCheck2.Gen.(int_range 0 100_000)
@@ -316,5 +365,6 @@ let () =
   Alcotest.run "keyspace"
     [ ("placement", placement_tests);
       ("shim", shim_tests);
-      ("sharded", sharded_tests)
+      ("sharded", sharded_tests);
+      ("offset", offset_tests)
     ]
